@@ -12,9 +12,9 @@
 //   2. fan-in batch size in {128 .. 2048} at the single-worker cell --
 //      how RuntimeOptions::fanin_batch trades shard-lock/wakeup
 //      amortization against burstiness.
-//   3. payload mode none/heap/pooled at the single-worker cell -- the
-//      cost of carrying real 1000-byte payloads, and how much of it the
-//      frame pool wins back (pool counters included for the pooled cell).
+//   3. payload mode none/pooled at the single-worker cell -- the cost of
+//      carrying real 1000-byte payloads from the frame pool (pool counters
+//      included for the pooled cell).
 //   4. latency attribution at the single-worker cell: stage tracing off
 //      vs the default 1-in-64 sampling.  The pps ratio is the tracing
 //      hot-path overhead (budget: >= 0.95), and the traced cell reports
@@ -86,11 +86,7 @@ struct Cell {
 };
 
 const char* payload_name(PayloadMode mode) {
-  switch (mode) {
-    case PayloadMode::kHeap: return "heap";
-    case PayloadMode::kPooled: return "pooled";
-    default: return "none";
-  }
+  return mode == PayloadMode::kPooled ? "pooled" : "none";
 }
 
 Cell run_cell(std::size_t flows, std::size_t workers, double duration_s,
@@ -160,18 +156,12 @@ Cell run_cell(std::size_t flows, std::size_t workers, double duration_s,
     cell.trace_dropped = tracer->dropped();
     cell.reconciliation_error = tracer->reconciliation_error();
     for (std::size_t s = 0; s < telemetry::kStageCount; ++s) {
-      LatencyHistogram merged;
-      for (std::size_t j = 0; j < kIfaces; ++j) {
-        merged.merge_from(tracer->stage_grid(static_cast<IfaceId>(j),
-                                             static_cast<telemetry::Stage>(s)));
-      }
+      const LatencySnapshot merged =
+          tracer->stage_merged(static_cast<telemetry::Stage>(s));
       cell.stages[s].p50_ns = merged.quantile(0.5);
       cell.stages[s].p99_ns = merged.quantile(0.99);
     }
-    LatencyHistogram merged_e2e;
-    for (std::size_t j = 0; j < kIfaces; ++j) {
-      merged_e2e.merge_from(tracer->e2e_grid(static_cast<IfaceId>(j)));
-    }
+    const LatencySnapshot merged_e2e = tracer->e2e_merged();
     cell.e2e.p50_ns = merged_e2e.quantile(0.5);
     cell.e2e.p99_ns = merged_e2e.quantile(0.99);
   }
@@ -744,8 +734,7 @@ int main(int argc, char** argv) {
   // Payload sweep: what real payload bytes cost, and the pool's share.
   std::vector<Cell> payload_cells;
   if (!scale_only) {
-    for (const PayloadMode mode :
-         {PayloadMode::kNone, PayloadMode::kHeap, PayloadMode::kPooled}) {
+    for (const PayloadMode mode : {PayloadMode::kNone, PayloadMode::kPooled}) {
       std::cerr << "rt_throughput: payload " << payload_name(mode) << "..."
                 << std::flush;
       const Cell cell = run_cell(256, 1, duration_s, false, 0, mode);

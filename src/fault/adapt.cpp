@@ -16,8 +16,6 @@ AdaptiveController::AdaptiveController(SupervisedRuntime& rt,
     : rt_(rt),
       options_(options),
       links_(rt.iface_count()),
-      prev_e2e_(LatencyHistogram::kBuckets, 0),
-      cur_e2e_(LatencyHistogram::kBuckets, 0),
       target_p99_ns_(options.target_p99_ns) {
   MIDRR_REQUIRE(options_.ewma_alpha > 0.0 && options_.ewma_alpha <= 1.0,
                 "ewma_alpha must be in (0, 1]");
@@ -122,38 +120,14 @@ void AdaptiveController::finalize(SimTime now) {
   }
 }
 
-double AdaptiveController::windowed_p99(SimTime now) {
-  (void)now;
-  if (!rt_.sample_e2e_buckets(cur_e2e_)) return -1.0;
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < cur_e2e_.size() && i < prev_e2e_.size(); ++i) {
-    const std::uint64_t c = cur_e2e_[i];
-    // Swap roles: cur becomes the delta in place, prev the new snapshot.
-    cur_e2e_[i] = c >= prev_e2e_[i] ? c - prev_e2e_[i] : 0;
-    prev_e2e_[i] = c;
-    total += cur_e2e_[i];
-  }
-  if (total < options_.min_window_samples) return -1.0;
-  // Same estimator as LatencyHistogram::quantile, over the window's
-  // bucket-count deltas (cumulative grids cannot be reset in place).
-  const double rank = 0.99 * static_cast<double>(total);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < cur_e2e_.size(); ++i) {
-    if (cur_e2e_[i] == 0) continue;
-    if (static_cast<double>(seen + cur_e2e_[i]) >= rank) {
-      const double lo = LatencyHistogram::lower_bound(i);
-      if (i < (std::size_t{1} << (LatencyHistogram::kSubBits + 1))) {
-        return lo;  // exact region
-      }
-      const double width = LatencyHistogram::upper_bound(i) - lo + 1.0;
-      double into = (rank - static_cast<double>(seen)) /
-                    static_cast<double>(cur_e2e_[i]);
-      into = std::clamp(into, 0.0, 1.0);
-      return lo + width * into;
-    }
-    seen += cur_e2e_[i];
-  }
-  return LatencyHistogram::upper_bound(cur_e2e_.size() - 1);
+double AdaptiveController::windowed_p99() {
+  LatencySnapshot cur;
+  if (!rt_.sample_e2e_buckets(cur)) return -1.0;
+  // Cumulative grids cannot be reset in place: the window is the delta.
+  const LatencySnapshot window = cur.minus(prev_e2e_);
+  prev_e2e_ = std::move(cur);
+  if (window.count() < options_.min_window_samples) return -1.0;
+  return window.quantile(0.99);
 }
 
 void AdaptiveController::update_shedding(SimTime now,
@@ -164,7 +138,7 @@ void AdaptiveController::update_shedding(SimTime now,
     shed_active_.store(0, std::memory_order_relaxed);
     return;
   }
-  const double p99 = windowed_p99(now);
+  const double p99 = windowed_p99();
   if (p99 > 0.0) {
     windowed_p99_ns_.store(p99, std::memory_order_relaxed);
     const double err = std::clamp(

@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "fault/supervisor.hpp"
+#include "util/latency_histogram.hpp"
 #include "util/time.hpp"
 
 namespace midrr::telemetry {
@@ -174,16 +175,15 @@ class AdaptiveController {
   void close_droop(IfaceId iface, Link& link, SimTime now);
   /// Windowed traced p99 in ns from bucket-count deltas since the last
   /// probe; < 0 when the window holds too few samples to judge.
-  double windowed_p99(SimTime now);
+  double windowed_p99();
 
   SupervisedRuntime& rt_;
   AdaptOptions options_;
   FaultPlanRecorder* recorder_ = nullptr;  ///< probe-thread only
 
   std::vector<Link> links_;
-  std::vector<std::uint64_t> prev_e2e_;   ///< last cumulative bucket snapshot
-  std::vector<std::uint64_t> cur_e2e_;    ///< reused scratch
-  double correction_ = 1.0;               ///< probe-thread owned
+  LatencySnapshot prev_e2e_;   ///< last cumulative e2e snapshot
+  double correction_ = 1.0;    ///< probe-thread owned
 
   std::atomic<SimDuration> target_p99_ns_;
   std::atomic<std::uint64_t> shed_bytes_mirror_{0};

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 
 #include "fault/json.hpp"
+#include "util/json_escape.hpp"
 
 namespace midrr::fault {
 
@@ -72,6 +72,10 @@ FieldSpec fields_for(FaultKind kind) {
   return {};
 }
 
+/// Largest time or duration a plan may name: keeps every nanosecond count
+/// below 2^51, where ms_str and ms_to_ns round-trip exactly (~11.6 days).
+constexpr double kMaxMs = 1e9;
+
 SimDuration ms_to_ns(double ms) {
   return static_cast<SimDuration>(ms * 1e6 + 0.5);
 }
@@ -85,6 +89,28 @@ double number_field(const JsonValue& obj, std::size_t index,
   } catch (const std::exception&) {
     fail(index, "field \"" + key + "\" must be a number");
   }
+}
+
+/// A millisecond field as nanoseconds, in [0, kMaxMs]; `positive` fields
+/// must also be at least 1 ns once rounded.
+SimDuration ms_field(const JsonValue& obj, std::size_t index,
+                     const std::string& key, bool positive) {
+  const double ms = number_field(obj, index, key);
+  if (ms < 0) fail(index, key + " must be >= 0");
+  if (ms > kMaxMs) fail(index, key + " must be <= 1e9 (about 11.6 days)");
+  const SimDuration ns = ms_to_ns(ms);
+  if (positive && ns <= 0) fail(index, key + " must be > 0");
+  return ns;
+}
+
+/// An interface or worker index: a whole number below kInvalidIface.
+std::uint32_t index_field(const JsonValue& obj, std::size_t index,
+                          const std::string& key) {
+  const double v = number_field(obj, index, key);
+  if (v < 0 || v != std::floor(v) || v >= static_cast<double>(kInvalidIface)) {
+    fail(index, key + " must be an index");
+  }
+  return static_cast<std::uint32_t>(v);
 }
 
 /// Shortest representation that strtod round-trips to the same double.
@@ -102,29 +128,6 @@ std::string number_str(double v) {
 std::string ms_str(SimDuration ns) {
   if (ns % 1'000'000 == 0) return std::to_string(ns / 1'000'000);
   return number_str(static_cast<double>(ns) / 1e6);
-}
-
-std::string json_escaped(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -160,8 +163,9 @@ FaultPlan FaultPlan::parse_json(std::string_view text) {
   FaultPlan plan;
   if (const JsonValue* seed = doc.find("seed"); seed != nullptr) {
     const double s = seed->as_number();
-    if (s < 0 || s != std::floor(s)) {
-      throw std::runtime_error("fault plan: seed must be a whole number >= 0");
+    if (s < 0 || s != std::floor(s) || s >= 18446744073709551616.0) {
+      throw std::runtime_error(
+          "fault plan: seed must be a whole number in [0, 2^64)");
     }
     plan.seed = static_cast<std::uint64_t>(s);
   }
@@ -184,9 +188,7 @@ FaultPlan FaultPlan::parse_json(std::string_view text) {
                         to_string(e.kind));
       }
     }
-    const double at_ms = number_field(entry, index, "at_ms");
-    if (at_ms < 0) fail(index, "at_ms must be >= 0");
-    e.at_ns = ms_to_ns(at_ms);
+    e.at_ns = ms_field(entry, index, "at_ms", false);
     for (const std::string& key : spec.required) {
       if (entry.find(key) == nullptr) {
         fail(index, std::string("kind ") + to_string(e.kind) +
@@ -194,29 +196,19 @@ FaultPlan FaultPlan::parse_json(std::string_view text) {
       }
     }
     if (entry.find("iface") != nullptr) {
-      const double v = number_field(entry, index, "iface");
-      if (v < 0 || v != std::floor(v)) fail(index, "iface must be an index");
-      e.iface = static_cast<IfaceId>(v);
+      e.iface = index_field(entry, index, "iface");
     }
     if (entry.find("worker") != nullptr) {
-      const double v = number_field(entry, index, "worker");
-      if (v < 0 || v != std::floor(v)) fail(index, "worker must be an index");
-      e.worker = static_cast<std::uint32_t>(v);
+      e.worker = index_field(entry, index, "worker");
     }
     if (entry.find("duration_ms") != nullptr) {
-      const double v = number_field(entry, index, "duration_ms");
-      if (v <= 0) fail(index, "duration_ms must be > 0");
-      e.duration_ns = ms_to_ns(v);
+      e.duration_ns = ms_field(entry, index, "duration_ms", true);
     }
     if (entry.find("period_ms") != nullptr) {
-      const double v = number_field(entry, index, "period_ms");
-      if (v <= 0) fail(index, "period_ms must be > 0");
-      e.period_ns = ms_to_ns(v);
+      e.period_ns = ms_field(entry, index, "period_ms", true);
     }
     if (entry.find("delay_ms") != nullptr) {
-      const double v = number_field(entry, index, "delay_ms");
-      if (v <= 0) fail(index, "delay_ms must be > 0");
-      e.delay_ns = ms_to_ns(v);
+      e.delay_ns = ms_field(entry, index, "delay_ms", true);
     }
     if (entry.find("probability") != nullptr) {
       e.probability = number_field(entry, index, "probability");
@@ -263,7 +255,9 @@ FaultPlan FaultPlan::parse_json(std::string_view text) {
       if (at == nullptr) note_fail("missing field \"at_ms\"");
       if (note == nullptr) note_fail("missing field \"note\"");
       const double at_ms = at->as_number();
-      if (at_ms < 0) note_fail("at_ms must be >= 0");
+      if (!(at_ms >= 0 && at_ms <= kMaxMs)) {
+        note_fail("at_ms must be in [0, 1e9]");
+      }
       plan.observed.push_back(ObservedNote{ms_to_ns(at_ms), note->as_string()});
       ++note_index;
     }
@@ -333,7 +327,7 @@ std::string FaultPlan::to_json() const {
     for (std::size_t i = 0; i < notes.size(); ++i) {
       out << (i == 0 ? "\n" : ",\n") << "    {\"at_ms\": "
           << ms_str(notes[i].at_ns) << ", \"note\": \""
-          << json_escaped(notes[i].note) << "\"}";
+          << json_escape(notes[i].note) << "\"}";
     }
     out << "\n  ]";
   }

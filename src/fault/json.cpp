@@ -54,8 +54,15 @@ class JsonParser {
     skip_space();
     const char c = peek();
     switch (c) {
-      case '{': return object();
-      case '[': return array();
+      case '{':
+      case '[': {
+        // Recursion depth is the parser's one unbounded resource; no
+        // document this parser serves nests more than a few levels.
+        if (++depth_ > kMaxDepth) throw JsonError("nesting too deep", pos_);
+        JsonValue v = c == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind_ = JsonValue::Kind::kString;
@@ -215,8 +222,11 @@ class JsonParser {
     return v;
   }
 
+  static constexpr std::size_t kMaxDepth = 64;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 JsonValue JsonValue::parse(std::string_view text) {

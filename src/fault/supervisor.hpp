@@ -47,6 +47,7 @@
 #include "fault/injector.hpp"
 #include "telemetry/fairness_drift.hpp"
 #include "telemetry/flight_recorder.hpp"
+#include "util/latency_histogram.hpp"
 #include "util/time.hpp"
 
 namespace midrr::fault {
@@ -93,10 +94,10 @@ class SupervisedRuntime {
     (void)iface;
     return 0;
   }
-  /// Cumulative end-to-end stage-latency bucket counts (LatencyHistogram
-  /// grid order), summed over interfaces; false when no tracer is wired.
-  /// The adaptive controller diffs successive snapshots for windowed p99.
-  virtual bool sample_e2e_buckets(std::vector<std::uint64_t>& out) const {
+  /// Cumulative end-to-end stage-latency bucket counts, summed over
+  /// interfaces; false when no tracer is wired.  The adaptive controller
+  /// diffs successive snapshots for windowed p99.
+  virtual bool sample_e2e_buckets(LatencySnapshot& out) const {
     (void)out;
     return false;
   }

@@ -145,7 +145,7 @@ EgressResult UdpBackend::send_burst(IfaceId iface,
       break;
     }
     if (batch_hist_ != nullptr) {
-      batch_hist_->observe(static_cast<std::uint64_t>(rc));
+      batch_hist_->record(static_cast<std::uint64_t>(rc));
     }
     done += static_cast<std::size_t>(rc);
     if (static_cast<unsigned int>(rc) < chunk) {

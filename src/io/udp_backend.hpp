@@ -129,7 +129,7 @@ class UdpBackend final : public EgressBackend {
   UdpBackendOptions options_;
   RealSocketApi real_;
   std::vector<std::unique_ptr<IfaceState>> states_;
-  telemetry::Histogram* batch_hist_ = nullptr;  ///< messages per sendmmsg
+  LatencyHistogram* batch_hist_ = nullptr;  ///< messages per sendmmsg
 };
 
 }  // namespace midrr::io

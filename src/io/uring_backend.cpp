@@ -215,7 +215,7 @@ std::size_t UringBackend::reap_ring(RingState& ring, std::uint64_t wait_ns) {
                              total == 0 ? wait_ns : 0);
     if (n <= 0) break;
     if (cqe_batch_hist_ != nullptr) {
-      cqe_batch_hist_->observe(static_cast<std::uint64_t>(n));
+      cqe_batch_hist_->record(static_cast<std::uint64_t>(n));
     }
     for (int c = 0; c < n; ++c) {
       const UringCqe& cqe = ring.cqes[static_cast<std::size_t>(c)];
@@ -328,7 +328,7 @@ void UringBackend::push_retries(RingState& ring) {
 int UringBackend::submit_ring(RingState& ring) {
   if (ring.pushed_since_submit == 0) return 0;
   if (sqe_batch_hist_ != nullptr) {
-    sqe_batch_hist_->observe(ring.pushed_since_submit);
+    sqe_batch_hist_->record(ring.pushed_since_submit);
   }
   ring.pushed_since_submit = 0;
   return api().submit(ring.handle);

@@ -276,8 +276,8 @@ class UringBackend final : public EgressBackend {
   std::atomic<std::shared_ptr<const RegionTable>> regions_;
   std::atomic<std::uint32_t> next_buf_index_{0};
   bool zerocopy_active_ = false;
-  telemetry::Histogram* sqe_batch_hist_ = nullptr;
-  telemetry::Histogram* cqe_batch_hist_ = nullptr;
+  LatencyHistogram* sqe_batch_hist_ = nullptr;
+  LatencyHistogram* cqe_batch_hist_ = nullptr;
 };
 
 /// True when this build carries the io_uring backend (MIDRR_WITH_URING).

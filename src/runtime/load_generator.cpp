@@ -131,8 +131,6 @@ void LoadGenerator::register_pool_metrics(
 
 void LoadGenerator::producer_main(std::size_t index) {
   IngressPort port = rt_.port(index);
-  const bool heap_payload =
-      options_.payload == LoadGeneratorOptions::PayloadMode::kHeap;
   net::FramePool* pool = nullptr;
   if (options_.payload == LoadGeneratorOptions::PayloadMode::kPooled) {
     pool = pools_[index].get();
@@ -206,10 +204,6 @@ void LoadGenerator::producer_main(std::size_t index) {
     if (pool != nullptr) {
       frame = pool->make_filled(options_.packet_bytes,
                                 static_cast<net::Byte>(flow));
-    } else if (heap_payload) {
-      frame = std::make_shared<const net::Frame>(
-          net::ByteBuffer(options_.packet_bytes,
-                          static_cast<net::Byte>(flow)));
     }
     if (port.offer(flow, options_.packet_bytes, std::move(frame))) {
       ++offered;

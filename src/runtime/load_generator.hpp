@@ -11,11 +11,10 @@
 // Payloads: by default packets are pure (flow, size) records -- the
 // scheduler never looks at bytes, so the throughput bench defaults to the
 // cheapest representation.  `payload` switches on real wire-frame
-// attachments, either heap-allocated per packet (kHeap: the baseline the
-// pool is measured against) or drawn from a per-producer net::FramePool
-// (kPooled: zero allocations on the data path; frames released by worker
-// threads recycle through the pool's cross-thread return ring back to the
-// owning producer).
+// attachments drawn from a per-producer net::FramePool (kPooled: zero
+// allocations on the data path; frames released by worker threads recycle
+// through the pool's cross-thread return ring back to the owning
+// producer).
 //
 // Backpressure: a full ingress ring makes offer() return false; the
 // generator counts the reject and yields, so a saturating generator on a
@@ -37,7 +36,6 @@ struct LoadGeneratorOptions {
   /// What each offered packet carries besides (flow, size).
   enum class PayloadMode {
     kNone,    ///< no frame (default; pure scheduling records)
-    kHeap,    ///< heap-allocated frame per packet (pooling baseline)
     kPooled,  ///< frame from a per-producer FramePool (zero-alloc path)
   };
 

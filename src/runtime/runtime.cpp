@@ -362,7 +362,6 @@ void Runtime::start() {
   if (options_.stage_sample_every > 0) {
     telemetry::StageTracer::Options topts;
     topts.sample_every = options_.stage_sample_every;
-    topts.slots_per_lane = options_.stage_slots_per_lane;
     tracer_ = std::make_unique<telemetry::StageTracer>(
         options_.producers, ifaces_.size(), options_.max_flows, topts);
   }
@@ -380,10 +379,10 @@ void Runtime::start() {
           &options_.flight->add_writer("worker" + std::to_string(w));
     }
     if (options_.metrics != nullptr) {
-      worker->wait_hist = &options_.metrics->histogram(
+      options_.metrics->histogram_grid(
           "midrr_rt_packet_wait_ns",
           "Enqueue-to-drain packet wait, nanoseconds.",
-          {{"worker", std::to_string(w)}});
+          {{"worker", std::to_string(w)}}, worker->latency);
     }
     if (options_.trace_spans > 0) {
       worker->span_cap = options_.trace_spans;
@@ -853,7 +852,6 @@ void Runtime::account_sent(IfaceRec& rec, Worker& me, const Packet& packet,
   const std::uint64_t wait_ns =
       waited > 0 ? static_cast<std::uint64_t>(waited) : 0;
   me.latency.record(wait_ns);
-  if (me.wait_hist != nullptr) me.wait_hist->observe(wait_ns);
   sent_by_flow_[packet.flow].fetch_add(packet.size_bytes,
                                        std::memory_order_relaxed);
   rec.packets.fetch_add(1, std::memory_order_relaxed);
@@ -1009,7 +1007,6 @@ bool Runtime::drain_iface(IfaceId iface, Worker& me,
   // Disabled tracing keeps the historical single clock read per burst;
   // enabled tracing pays one extra read so the egress stage is real.
   const SimTime sent_at = tracer_ != nullptr ? now_ns() : drained_at;
-  telemetry::Histogram* const wait_hist = me.wait_hist;
   std::uint64_t bytes = 0;
   if (outcome.clean) {
     // Everything left: the historical fast path, untouched.  Bursts are
@@ -1024,7 +1021,6 @@ bool Runtime::drain_iface(IfaceId iface, Worker& me,
       const std::uint64_t wait_ns =
           waited > 0 ? static_cast<std::uint64_t>(waited) : 0;
       me.latency.record(wait_ns);
-      if (wait_hist != nullptr) wait_hist->observe(wait_ns);
       if (packet.flow != run_flow) {
         if (run_bytes != 0) {
           sent_by_flow_[run_flow].fetch_add(run_bytes,
@@ -1183,7 +1179,7 @@ RuntimeStats Runtime::stats() const {
   RuntimeStats out;
   out.offered = offered_.load(std::memory_order_relaxed);
   out.ring_rejects = ring_rejects_.load(std::memory_order_relaxed);
-  LatencyHistogram merged;
+  LatencySnapshot latency;
   for (const auto& worker : workers_) {
     out.enqueued += worker->enqueued.load(std::memory_order_relaxed);
     out.fanin_drops += worker->fanin_drops.load(std::memory_order_relaxed);
@@ -1198,7 +1194,7 @@ RuntimeStats Runtime::stats() const {
     out.bursts += worker->bursts.load(std::memory_order_relaxed);
     out.parks += worker->parks.load(std::memory_order_relaxed);
     out.shed_drops += worker->shed_drops.load(std::memory_order_relaxed);
-    merged.merge_from(worker->latency);
+    latency.add(worker->latency);
   }
   for (const auto& shard : shards_) {
     out.straggler_drops +=
@@ -1217,12 +1213,12 @@ RuntimeStats Runtime::stats() const {
       backpressure_rejects_.load(std::memory_order_relaxed);
   out.quarantine_rejects = quarantine_rejects_.load(std::memory_order_relaxed);
   out.worker_restarts = worker_restarts_.load(std::memory_order_relaxed);
-  out.latency_count = merged.count();
-  out.latency_mean_ns = merged.mean_ns();
-  out.latency_p50_ns = merged.quantile(0.50);
-  out.latency_p90_ns = merged.quantile(0.90);
-  out.latency_p99_ns = merged.quantile(0.99);
-  out.latency_p999_ns = merged.quantile(0.999);
+  out.latency_count = latency.count();
+  out.latency_mean_ns = latency.mean_ns();
+  out.latency_p50_ns = latency.quantile(0.50);
+  out.latency_p90_ns = latency.quantile(0.90);
+  out.latency_p99_ns = latency.quantile(0.99);
+  out.latency_p999_ns = latency.quantile(0.999);
   return out;
 }
 
@@ -1285,15 +1281,9 @@ std::uint32_t Runtime::iface_shard(IfaceId iface) const {
   return static_cast<std::uint32_t>(ifaces_[iface]->shard);
 }
 
-bool Runtime::sample_e2e_buckets(std::vector<std::uint64_t>& out) const {
+bool Runtime::sample_e2e_buckets(LatencySnapshot& out) const {
   if (tracer_ == nullptr) return false;
-  out.assign(LatencyHistogram::kBuckets, 0);
-  for (IfaceId j = 0; j < ifaces_.size(); ++j) {
-    const LatencyHistogram& grid = tracer_->e2e_grid(j);
-    for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
-      out[i] += grid.bucket_count(i);
-    }
-  }
+  out = tracer_->e2e_merged();
   return true;
 }
 

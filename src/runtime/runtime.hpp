@@ -104,9 +104,6 @@ struct RuntimeOptions {
   /// (the hot path then pays one null test per seam); 1 traces everything
   /// (tests).  See telemetry/stage_latency.hpp.
   std::uint32_t stage_sample_every = 0;
-  /// In-flight stage-trace records per producer lane (bounds memory and
-  /// the concurrent traced-packet population).
-  std::uint32_t stage_slots_per_lane = 1024;
   /// Per-class SLO engine fed with every completed stage sample (class
   /// resolved through the control plane's lock-free directory).  Must
   /// outlive the Runtime; bind_class/register_metrics stay the caller's
@@ -420,7 +417,7 @@ class Runtime final : public telemetry::FairnessSource,
   std::uint32_t iface_shard(IfaceId iface) const override;
   /// Cumulative end-to-end stage-latency bucket counts summed over
   /// interfaces; false when no tracer is armed.
-  bool sample_e2e_buckets(std::vector<std::uint64_t>& out) const override;
+  bool sample_e2e_buckets(LatencySnapshot& out) const override;
   /// Live overload-shedding watermark.  Seeded from
   /// RuntimeOptions::shed_bytes; the adaptive controller retunes it while
   /// workers run (drain loops read it per fan-in pass, relaxed).
@@ -532,6 +529,8 @@ class Runtime final : public telemetry::FairnessSource,
     std::thread thread;
     std::vector<IfaceId> ifaces;             // owned (global ids)
     std::vector<std::uint32_t> home_shards;  // shards whose fan-in we run
+    // Enqueue -> drain wait per delivered packet; a registry exports this
+    // grid in place as midrr_rt_packet_wait_ns.
     LatencyHistogram latency;
     // Hot counters: written per burst by the owning worker, read at scrape
     // rate elsewhere.  Their own line keeps scrapes (and neighbors in this
@@ -556,10 +555,6 @@ class Runtime final : public telemetry::FairnessSource,
     // touching any runtime state.
     std::atomic<std::uint64_t> heartbeat{0};
     std::atomic<std::uint64_t> generation{0};
-    // Telemetry (optional).  wait_hist doubles the latency accounting into
-    // a scrapable Prometheus histogram; spans is a bounded, preallocated
-    // buffer owned by the worker thread and read only after stop().
-    telemetry::Histogram* wait_hist = nullptr;
     /// Flight-recorder lane (null unless RuntimeOptions::flight).  Written
     /// by the slot's CURRENT thread only; a superseded thread logs nothing
     /// after observing kSuperseded, so the single-writer contract holds
@@ -571,6 +566,8 @@ class Runtime final : public telemetry::FairnessSource,
     /// Resolved-completion scratch for EgressBackend::poll_completions /
     /// reclaim_inflight (owned by the worker thread; reused, never shrunk).
     std::vector<io::EgressCompletion> completions;
+    /// Chrome-trace work spans: a bounded, preallocated buffer owned by the
+    /// worker thread and read only after stop().
     std::vector<telemetry::TraceSpan> spans;
     std::size_t span_cap = 0;
     std::atomic<std::uint64_t> spans_dropped{0};

@@ -1,8 +1,9 @@
 #include "telemetry/chrome_trace.hpp"
 
-#include <cstdio>
 #include <ostream>
 #include <sstream>
+
+#include "util/json_escape.hpp"
 
 namespace midrr::telemetry {
 
@@ -11,36 +12,13 @@ namespace {
 /// SimTime ns -> trace-format microseconds, preserving sub-us precision.
 double us(SimTime ns) { return static_cast<double>(ns) / 1e3; }
 
-std::string escape_json(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char c : in) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 void ChromeTraceBuilder::thread_name(std::uint32_t pid, std::uint32_t tid,
                                      const std::string& name) {
   std::ostringstream e;
   e << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << pid
-    << ",\"tid\":" << tid << ",\"args\":{\"name\":\"" << escape_json(name)
+    << ",\"tid\":" << tid << ",\"args\":{\"name\":\"" << json_escape(name)
     << "\"}}";
   events_.push_back(e.str());
 }
@@ -49,7 +27,7 @@ void ChromeTraceBuilder::set_process_name(std::uint32_t pid,
                                           const std::string& name) {
   std::ostringstream e;
   e << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-    << ",\"args\":{\"name\":\"" << escape_json(name) << "\"}}";
+    << ",\"args\":{\"name\":\"" << json_escape(name) << "\"}}";
   events_.push_back(e.str());
 }
 
@@ -143,7 +121,7 @@ void ChromeTraceBuilder::add_spans(const std::vector<TraceSpan>& spans,
 void ChromeTraceBuilder::add_counter(std::uint32_t pid, const std::string& name,
                                      SimTime at, double value) {
   std::ostringstream e;
-  e << "{\"name\":\"" << escape_json(name) << "\",\"ph\":\"C\",\"ts\":"
+  e << "{\"name\":\"" << json_escape(name) << "\",\"ph\":\"C\",\"ts\":"
     << us(at) << ",\"pid\":" << pid << ",\"args\":{\"value\":" << value
     << "}}";
   events_.push_back(e.str());
@@ -152,7 +130,7 @@ void ChromeTraceBuilder::add_counter(std::uint32_t pid, const std::string& name,
 void ChromeTraceBuilder::add_instant(std::uint32_t pid, std::uint32_t tid,
                                      const std::string& name, SimTime at) {
   std::ostringstream e;
-  e << "{\"name\":\"" << escape_json(name)
+  e << "{\"name\":\"" << json_escape(name)
     << "\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"p\",\"ts\":" << us(at)
     << ",\"pid\":" << pid << ",\"tid\":" << tid << "}";
   events_.push_back(e.str());

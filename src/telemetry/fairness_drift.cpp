@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "fairness/maxmin.hpp"
+#include "util/json_escape.hpp"
 #include "util/logging.hpp"
 
 namespace midrr::telemetry {
@@ -150,7 +151,7 @@ void FairnessDriftSampler::sample_once() {
       const auto t0 = std::chrono::steady_clock::now();
       const fair::MaxMinResult reference = fair::solve_max_min(input);
       const auto t1 = std::chrono::steady_clock::now();
-      solver_ns_.observe(static_cast<std::uint64_t>(
+      solver_ns_.record(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
               .count()));
 
@@ -254,7 +255,8 @@ std::string flows_json(const FairnessSample& sample, const DriftReport& drift) {
   for (const FairnessFlowSample& flow : sample.flows) {
     if (!first) out << ',';
     first = false;
-    out << "{\"id\":" << flow.id << ",\"name\":\"" << flow_label(flow)
+    out << "{\"id\":" << flow.id << ",\"name\":\""
+        << json_escape(flow_label(flow))
         << "\",\"weight\":" << flow.weight << ",\"members\":" << flow.members
         << ",\"sent_bytes\":" << flow.sent_bytes;
     const auto it = std::find_if(

@@ -136,7 +136,7 @@ class FairnessDriftSampler {
   FairnessDriftOptions options_;
 
   Counter& samples_total_;
-  Histogram& solver_ns_;
+  LatencyHistogram& solver_ns_;
   Gauge& jain_;
   Gauge& ratio_min_;
   Gauge& ratio_max_;

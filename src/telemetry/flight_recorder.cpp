@@ -9,6 +9,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/json_escape.hpp"
+
 namespace midrr::telemetry {
 
 const char* to_string(FlightCategory category) {
@@ -106,18 +108,19 @@ std::string FlightRecorder::dump_json(const std::string& reason,
                                       std::uint64_t now_ns) const {
   const std::vector<FlightEvent> events = snapshot();
   std::ostringstream out;
-  out << "{\"reason\":\"" << reason << "\",\"dumped_at_ns\":" << now_ns
+  out << "{\"reason\":\"" << json_escape(reason)
+      << "\",\"dumped_at_ns\":" << now_ns
       << ",\"writers\":[";
   for (std::size_t i = 0; i < logs_.size(); ++i) {
     if (i != 0) out << ',';
-    out << '"' << logs_[i]->name() << '"';
+    out << '"' << json_escape(logs_[i]->name()) << '"';
   }
   out << "],\"events\":[";
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FlightEvent& e = events[i];
     if (i != 0) out << ',';
     out << "\n{\"t_ns\":" << e.t_ns << ",\"writer\":\""
-        << logs_[e.writer]->name() << "\",\"category\":\""
+        << json_escape(logs_[e.writer]->name()) << "\",\"category\":\""
         << to_string(e.category) << "\",\"code\":\"" << to_string(e.code)
         << "\",\"a\":" << e.a << ",\"b\":" << e.b << "}";
   }

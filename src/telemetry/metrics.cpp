@@ -36,7 +36,8 @@ struct MetricsRegistry::Child {
   LabelSet labels;
   std::unique_ptr<Counter> counter;
   std::unique_ptr<Gauge> gauge;
-  std::unique_ptr<Histogram> histogram;
+  std::unique_ptr<LatencyHistogram> owned_grid;  // histogram() handles
+  const LatencyHistogram* grid = nullptr;  // owned_grid or an exported grid
   std::function<double()> callback;  // callback series have no storage
 };
 
@@ -69,109 +70,87 @@ MetricsRegistry::Family& MetricsRegistry::family_locked(const std::string& name,
   return *families_.back();
 }
 
-MetricsRegistry::Child* MetricsRegistry::find_child_locked(
-    Family& family, const LabelSet& labels) {
+MetricsRegistry::Child& MetricsRegistry::child_locked(const std::string& name,
+                                                      const std::string& help,
+                                                      MetricKind kind,
+                                                      LabelSet labels) {
+  Family& family = family_locked(name, help, kind);
+  labels = sorted(std::move(labels));
   for (auto& child : family.children) {
-    if (child->labels == labels) return child.get();
+    if (child->labels == labels) return *child;
   }
-  return nullptr;
+  for (const auto& [k, v] : labels) {
+    (void)v;
+    MIDRR_REQUIRE(valid_label_name(k), "invalid label name");
+  }
+  auto child = std::make_unique<Child>();
+  child->labels = std::move(labels);
+  family.children.push_back(std::move(child));
+  return *family.children.back();
 }
 
 Counter& MetricsRegistry::counter(const std::string& name,
                                   const std::string& help, LabelSet labels) {
   std::lock_guard<std::mutex> lock(mu_);
-  Family& family = family_locked(name, help, MetricKind::kCounter);
-  labels = sorted(std::move(labels));
-  if (Child* existing = find_child_locked(family, labels)) {
-    MIDRR_REQUIRE(existing->counter != nullptr,
-                  "series registered as a callback, not a handle");
-    return *existing->counter;
-  }
-  for (const auto& [k, v] : labels) {
-    (void)v;
-    MIDRR_REQUIRE(valid_label_name(k), "invalid label name");
-  }
-  auto child = std::make_unique<Child>();
-  child->labels = std::move(labels);
-  child->counter = std::make_unique<Counter>();
-  family.children.push_back(std::move(child));
-  return *family.children.back()->counter;
+  Child& child =
+      child_locked(name, help, MetricKind::kCounter, std::move(labels));
+  MIDRR_REQUIRE(!child.callback,
+                "series registered as a callback, not a handle");
+  if (child.counter == nullptr) child.counter = std::make_unique<Counter>();
+  return *child.counter;
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name, const std::string& help,
                               LabelSet labels) {
   std::lock_guard<std::mutex> lock(mu_);
-  Family& family = family_locked(name, help, MetricKind::kGauge);
-  labels = sorted(std::move(labels));
-  if (Child* existing = find_child_locked(family, labels)) {
-    MIDRR_REQUIRE(existing->gauge != nullptr,
-                  "series registered as a callback, not a handle");
-    return *existing->gauge;
-  }
-  for (const auto& [k, v] : labels) {
-    (void)v;
-    MIDRR_REQUIRE(valid_label_name(k), "invalid label name");
-  }
-  auto child = std::make_unique<Child>();
-  child->labels = std::move(labels);
-  child->gauge = std::make_unique<Gauge>();
-  family.children.push_back(std::move(child));
-  return *family.children.back()->gauge;
+  Child& child =
+      child_locked(name, help, MetricKind::kGauge, std::move(labels));
+  MIDRR_REQUIRE(!child.callback,
+                "series registered as a callback, not a handle");
+  if (child.gauge == nullptr) child.gauge = std::make_unique<Gauge>();
+  return *child.gauge;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      const std::string& help,
-                                      LabelSet labels) {
+LatencyHistogram& MetricsRegistry::histogram(const std::string& name,
+                                             const std::string& help,
+                                             LabelSet labels) {
   std::lock_guard<std::mutex> lock(mu_);
-  Family& family = family_locked(name, help, MetricKind::kHistogram);
-  labels = sorted(std::move(labels));
-  if (Child* existing = find_child_locked(family, labels)) {
-    MIDRR_REQUIRE(existing->histogram != nullptr,
-                  "series registered as a callback, not a handle");
-    return *existing->histogram;
+  Child& child =
+      child_locked(name, help, MetricKind::kHistogram, std::move(labels));
+  MIDRR_REQUIRE(child.grid == child.owned_grid.get(),
+                "series registered as an exported grid, not a handle");
+  if (child.owned_grid == nullptr) {
+    child.owned_grid = std::make_unique<LatencyHistogram>();
+    child.grid = child.owned_grid.get();
   }
-  for (const auto& [k, v] : labels) {
-    (void)v;
-    MIDRR_REQUIRE(valid_label_name(k), "invalid label name");
-  }
-  auto child = std::make_unique<Child>();
-  child->labels = std::move(labels);
-  child->histogram = std::make_unique<Histogram>();
-  family.children.push_back(std::move(child));
-  return *family.children.back()->histogram;
+  return *child.owned_grid;
 }
+
+// Callback and grid re-registration replaces the previous source.
 
 void MetricsRegistry::counter_fn(const std::string& name,
                                  const std::string& help, LabelSet labels,
                                  std::function<double()> fn) {
   MIDRR_REQUIRE(fn != nullptr, "callback series needs a callable");
   std::lock_guard<std::mutex> lock(mu_);
-  Family& family = family_locked(name, help, MetricKind::kCounter);
-  labels = sorted(std::move(labels));
-  if (Child* existing = find_child_locked(family, labels)) {
-    existing->callback = std::move(fn);  // re-registration replaces
-    return;
-  }
-  auto child = std::make_unique<Child>();
-  child->labels = std::move(labels);
-  child->callback = std::move(fn);
-  family.children.push_back(std::move(child));
+  child_locked(name, help, MetricKind::kCounter, std::move(labels)).callback =
+      std::move(fn);
 }
 
 void MetricsRegistry::gauge_fn(const std::string& name, const std::string& help,
                                LabelSet labels, std::function<double()> fn) {
   MIDRR_REQUIRE(fn != nullptr, "callback series needs a callable");
   std::lock_guard<std::mutex> lock(mu_);
-  Family& family = family_locked(name, help, MetricKind::kGauge);
-  labels = sorted(std::move(labels));
-  if (Child* existing = find_child_locked(family, labels)) {
-    existing->callback = std::move(fn);
-    return;
-  }
-  auto child = std::make_unique<Child>();
-  child->labels = std::move(labels);
-  child->callback = std::move(fn);
-  family.children.push_back(std::move(child));
+  child_locked(name, help, MetricKind::kGauge, std::move(labels)).callback =
+      std::move(fn);
+}
+
+void MetricsRegistry::histogram_grid(const std::string& name,
+                                     const std::string& help, LabelSet labels,
+                                     const LatencyHistogram& grid) {
+  std::lock_guard<std::mutex> lock(mu_);
+  child_locked(name, help, MetricKind::kHistogram, std::move(labels)).grid =
+      &grid;
 }
 
 std::vector<double> histogram_ladder() {
@@ -230,14 +209,13 @@ std::vector<FamilySnapshot> MetricsRegistry::snapshot() const {
         s.value = static_cast<double>(child->counter->value());
       } else if (child->gauge != nullptr) {
         s.value = child->gauge->value();
-      } else if (child->histogram != nullptr) {
-        const LatencyHistogram& grid = child->histogram->grid();
-        s.buckets = cumulative_buckets(grid);
+      } else if (child->grid != nullptr) {
+        s.buckets = cumulative_buckets(*child->grid);
         // Totals re-read the grid; racing writers can make count exceed
         // the last cumulative bucket, which exposition handles (the +Inf
         // bucket is rendered from `count`, so cumulativity holds).
-        s.count = grid.count();
-        s.sum = static_cast<double>(grid.sum_raw());
+        s.count = child->grid->count();
+        s.sum = static_cast<double>(child->grid->sum_raw());
       }
       fs.samples.push_back(std::move(s));
     }

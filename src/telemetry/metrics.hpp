@@ -1,21 +1,23 @@
 // Lock-free metrics registry: the write side of the telemetry layer.
 //
 // Writers (runtime workers, shard schedulers via MetricsObserver, the
-// bridge, the proxy) hold stable handles -- Counter, Gauge, Histogram --
-// and bump them wait-free with relaxed atomics; nothing on the hot path
-// ever takes a lock or allocates.  A reader (the /metrics scrape, the
-// fairness sampler) aggregates whatever the handles hold "around now":
-// every counter is monotone, so deltas between two scrapes are meaningful
-// even though individual loads race with writers (the same contract as
-// util/latency_histogram.hpp, which Histogram generalizes).
+// bridge, the proxy) hold stable handles -- Counter, Gauge, and
+// LatencyHistogram for distributions -- and bump them wait-free with
+// relaxed atomics; nothing on the hot path ever takes a lock or
+// allocates.  A reader (the /metrics scrape, the fairness sampler)
+// aggregates whatever the handles hold "around now": every counter is
+// monotone, so deltas between two scrapes are meaningful even though
+// individual loads race with writers (the same contract as
+// util/latency_histogram.hpp).
 //
-// Registration (counter()/gauge()/histogram()/counter_fn()/gauge_fn()) is
-// the slow path: it takes the registry mutex, deduplicates by (name,
-// labels), and returns a reference that stays valid for the registry's
-// lifetime.  Callback series (counter_fn/gauge_fn) are for state that
-// already lives elsewhere as atomics -- the collector invokes the callback
-// at scrape time instead of double-counting into a second cell; callbacks
-// must therefore be thread-safe and non-blocking.
+// Registration (counter()/gauge()/histogram()/counter_fn()/gauge_fn()/
+// histogram_grid()) is the slow path: it takes the registry mutex,
+// deduplicates by (name, labels), and returns a reference that stays
+// valid for the registry's lifetime.  Callback series (counter_fn/
+// gauge_fn) and grid exports (histogram_grid) are for state that already
+// lives elsewhere -- the collector reads it at scrape time instead of
+// double-counting into a second cell; callbacks must therefore be
+// thread-safe and non-blocking.
 #pragma once
 
 #include <atomic>
@@ -59,23 +61,6 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Log-bucketed distribution: LatencyHistogram's 64x8 grid (<= 12.5%
-/// relative error) plus the sum/count pair Prometheus histograms need.
-/// observe() is one relaxed fetch_add per sample, from any thread.
-class Histogram {
- public:
-  void observe(std::uint64_t v) { h_.record(v); }
-
-  std::uint64_t count() const { return h_.count(); }
-  double sum() const { return h_.mean_ns() * static_cast<double>(h_.count()); }
-  double quantile(double q) const { return h_.quantile(q); }
-
-  const LatencyHistogram& grid() const { return h_; }
-
- private:
-  LatencyHistogram h_;
-};
-
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
 /// One rendered series: labels plus either a scalar or histogram state.
@@ -114,8 +99,10 @@ class MetricsRegistry {
                    LabelSet labels = {});
   Gauge& gauge(const std::string& name, const std::string& help,
                LabelSet labels = {});
-  Histogram& histogram(const std::string& name, const std::string& help,
-                       LabelSet labels = {});
+  /// A registry-owned grid (<= 12.5% relative error); record() is one
+  /// relaxed fetch_add per sample, from any thread.
+  LatencyHistogram& histogram(const std::string& name, const std::string& help,
+                              LabelSet labels = {});
 
   /// Callback-backed series, collected at scrape time.  The callback must
   /// be thread-safe, non-blocking, and outlive the registry (or be
@@ -124,6 +111,10 @@ class MetricsRegistry {
                   LabelSet labels, std::function<double()> fn);
   void gauge_fn(const std::string& name, const std::string& help,
                 LabelSet labels, std::function<double()> fn);
+  /// The histogram counterpart: exports a grid the caller already records
+  /// into, scraped in place.  Same lifetime rule as the callbacks.
+  void histogram_grid(const std::string& name, const std::string& help,
+                      LabelSet labels, const LatencyHistogram& grid);
 
   // --- Collection ---------------------------------------------------------
 
@@ -142,7 +133,9 @@ class MetricsRegistry {
 
   Family& family_locked(const std::string& name, const std::string& help,
                         MetricKind kind);
-  Child* find_child_locked(Family& family, const LabelSet& labels);
+  /// The (name, labels) series, created empty on first registration.
+  Child& child_locked(const std::string& name, const std::string& help,
+                      MetricKind kind, LabelSet labels);
 
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Family>> families_;

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "util/assert.hpp"
+#include "util/json_escape.hpp"
 
 namespace midrr::telemetry {
 
@@ -160,7 +161,7 @@ std::string SloEngine::json(std::uint64_t now_ns) const {
       << ",\"slos\":[";
   for (std::size_t i = 0; i < specs_.size(); ++i) {
     if (i != 0) out << ',';
-    out << "\n{\"class\":\"" << specs_[i].class_name
+    out << "\n{\"class\":\"" << json_escape(specs_[i].class_name)
         << "\",\"p99_target_ns\":" << specs_[i].p99_target_ns
         << ",\"samples\":" << samples(i) << ",\"violations\":" << violations(i)
         << ",\"burn_short\":" << short_burn(i, now_ns)

@@ -126,13 +126,9 @@ bool StageTracer::complete(std::uint64_t tag, std::uint64_t t_offer_expected,
       t_fanin - t_offer, t_dequeue - t_fanin, t_sent - t_dequeue};
   for (std::size_t s = 0; s < kStageCount; ++s) {
     stats.stage[s].record(durations[s]);
-    if (stats.stage_hist[s] != nullptr) {
-      stats.stage_hist[s]->observe(durations[s]);
-    }
   }
   const std::uint64_t e2e = t_sent - t_offer;
   stats.e2e.record(e2e);
-  if (stats.e2e_hist != nullptr) stats.e2e_hist->observe(e2e);
   completed_.fetch_add(1, std::memory_order_relaxed);
   release(tag);
   if (e2e_ns != nullptr) *e2e_ns = e2e;
@@ -165,6 +161,20 @@ double StageTracer::reconciliation_error() const {
                           ? static_cast<double>(stage_sum - e2e_sum)
                           : static_cast<double>(e2e_sum - stage_sum);
   return diff / static_cast<double>(e2e_sum);
+}
+
+LatencySnapshot StageTracer::stage_merged(Stage stage) const {
+  LatencySnapshot out;
+  for (const auto& stats : stats_) {
+    out.add(stats->stage[static_cast<std::size_t>(stage)]);
+  }
+  return out;
+}
+
+LatencySnapshot StageTracer::e2e_merged() const {
+  LatencySnapshot out;
+  for (const auto& stats : stats_) out.add(stats->e2e);
+  return out;
 }
 
 void StageTracer::register_metrics(
@@ -211,20 +221,21 @@ void StageTracer::register_metrics(
   for (std::size_t j = 0; j < stats_.size(); ++j) {
     const std::string name =
         j < iface_names.size() ? iface_names[j] : "if" + std::to_string(j);
-    IfaceStats& stats = *stats_[j];
+    const IfaceStats& stats = *stats_[j];
     for (std::size_t s = 0; s < kStageCount; ++s) {
-      stats.stage_hist[s] = &registry.histogram(
+      registry.histogram_grid(
           "midrr_stage_latency_ns",
           "Per-stage latency of sampled packets: ring = ingress-ring "
           "residence, queue = scheduler queue + pacer gating, egress = "
           "syscall + requeue stash.  Stages sum to midrr_stage_e2e_ns.",
-          {{"iface", name}, {"stage", to_string(static_cast<Stage>(s))}});
+          {{"iface", name}, {"stage", to_string(static_cast<Stage>(s))}},
+          stats.stage[s]);
     }
-    stats.e2e_hist = &registry.histogram(
+    registry.histogram_grid(
         "midrr_stage_e2e_ns",
         "End-to-end (offer to egress resolution) latency of sampled "
         "packets, attributed to the interface the packet left on.",
-        {{"iface", name}});
+        {{"iface", name}}, stats.e2e);
   }
 }
 

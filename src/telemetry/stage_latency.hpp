@@ -157,6 +157,9 @@ class StageTracer {
   const LatencyHistogram& e2e_grid(IfaceId iface) const {
     return stats_[iface]->e2e;
   }
+  /// `stage`'s grids, or the e2e grids, summed over interfaces.
+  LatencySnapshot stage_merged(Stage stage) const;
+  LatencySnapshot e2e_merged() const;
 
   /// Sum over interfaces of (ring + queue + egress) histogram sums minus
   /// the e2e sums, as a fraction of the e2e sum.  0 when the invariant
@@ -182,13 +185,10 @@ class StageTracer {
     std::uint32_t cursor = 0;               ///< round-robin local slot
   };
 
+  /// register_metrics exports these grids as the midrr_stage_* histograms.
   struct IfaceStats {
     LatencyHistogram stage[kStageCount];
     LatencyHistogram e2e;
-    /// Optional mirrors into a MetricsRegistry (same samples, rendered as
-    /// Prometheus histograms); null until register_metrics.
-    Histogram* stage_hist[kStageCount] = {nullptr, nullptr, nullptr};
-    Histogram* e2e_hist = nullptr;
   };
 
   void stamp(std::uint64_t tag, std::uint64_t t, unsigned field);

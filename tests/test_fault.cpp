@@ -145,6 +145,15 @@ TEST(FaultPlanParse, RejectsSchemaViolationsLoudly) {
               "period_ms": 10, "duration_ms": 10, "duty": 1.0}]})");
   rejects(R"({"events": [{"at_ms": 1, "kind": "iface_scale", "iface": 0,
               "scale": 2.0, "duration_ms": 10}]})");
+  // Out-of-range numbers: a cast would overflow, or the value would not
+  // survive the canonical round trip.
+  rejects(R"({"events": [{"at_ms": 1e300, "kind": "iface_down",
+              "iface": 0}]})");
+  rejects(R"({"events": [{"at_ms": 1, "kind": "iface_down",
+              "iface": 1e20}]})");
+  rejects(R"({"events": [{"at_ms": 1, "kind": "pool_exhaust",
+              "duration_ms": 1e-300}]})");  // rounds to 0 ns
+  rejects(R"({"seed": 1e30, "events": []})");
   rejects(R"({"seed": 1.5, "events": []})");
   rejects(R"({"seeds": 1, "events": []})");  // unknown top-level key
   rejects(R"({"seed": 1})");                 // missing events
@@ -804,13 +813,13 @@ class AdaptMockRuntime : public MockRuntime {
   std::uint32_t shards = 1;
   std::vector<std::uint32_t> shard_of;  ///< per-iface; empty = all shard 0
   bool has_tracer = false;
-  std::vector<std::uint64_t> e2e;  ///< cumulative bucket counts
+  LatencySnapshot e2e;  ///< cumulative bucket counts
 
   std::size_t shard_count() const override { return shards; }
   std::uint32_t iface_shard(IfaceId iface) const override {
     return iface < shard_of.size() ? shard_of[iface] : 0;
   }
-  bool sample_e2e_buckets(std::vector<std::uint64_t>& out) const override {
+  bool sample_e2e_buckets(LatencySnapshot& out) const override {
     if (!has_tracer) return false;
     out = e2e;
     return true;
@@ -993,7 +1002,6 @@ TEST(AdaptiveController, WindowedP99DrivesTheMultiplicativeCorrection) {
   AdaptMockRuntime rt;
   rt.links.push_back({.name = "a", .configured_bps = 8e6, .backlog = 1'000});
   rt.has_tracer = true;
-  rt.e2e.assign(LatencyHistogram::kBuckets, 0);
   AdaptOptions options = unit_options();
   options.target_p99_ns = 10 * kMillisecond;
   AdaptiveController adapt(rt, options);
@@ -1001,7 +1009,7 @@ TEST(AdaptiveController, WindowedP99DrivesTheMultiplicativeCorrection) {
 
   // Window 1: 100 samples at ~1 ms, an order of magnitude under target.
   // The correction rises by exactly exp(gain * 1) (the log error clamps).
-  rt.e2e[LatencyHistogram::index_of(kMillisecond)] = 100;
+  rt.e2e.counts[LatencyHistogram::index_of(kMillisecond)] = 100;
   adapt.on_probe(kMillisecond, 1e-3, {8e6}, healthy);
   EXPECT_GT(adapt.windowed_p99_ns(), 0.0);
   EXPECT_LT(adapt.windowed_p99_ns(), 2.0 * kMillisecond);
@@ -1013,7 +1021,7 @@ TEST(AdaptiveController, WindowedP99DrivesTheMultiplicativeCorrection) {
   EXPECT_DOUBLE_EQ(adapt.correction(), risen);
 
   // Window 3: 100 fresh samples at ~100 ms, far above target: backs off.
-  rt.e2e[LatencyHistogram::index_of(100 * kMillisecond)] += 100;
+  rt.e2e.counts[LatencyHistogram::index_of(100 * kMillisecond)] += 100;
   adapt.on_probe(3 * kMillisecond, 1e-3, {8e6}, healthy);
   EXPECT_LT(adapt.correction(), risen);
   EXPECT_GT(adapt.windowed_p99_ns(), 10.0 * kMillisecond);

@@ -1,12 +1,16 @@
 // Fuzz-style robustness tests: the wire-format parsers must never crash,
 // hang or read out of bounds on arbitrary byte soup -- they either parse,
 // return nullopt, or throw BufferOverrun.  (Deterministic seeds; thousands
-// of inputs per shape.)
+// of inputs per shape.)  FaultPlan JSON additionally has a canonical form:
+// whatever parses must serialize to a parse/serialize fixpoint.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/scenario_text.hpp"
+#include "fault/fault_plan.hpp"
 #include "http/message.hpp"
 #include "net/packet.hpp"
 #include "net/pcap.hpp"
@@ -132,6 +136,94 @@ TEST(FuzzParse, PcapReaderNeverCrashes) {
     (void)net::read_pcap(in);
   }
   SUCCEED();
+}
+
+TEST(FuzzParse, FaultPlanJsonParsesOrThrowsAndReachesItsFixpoint) {
+  // Every fault kind plus an observed note, so mutations land in every
+  // field parser.
+  const std::string valid = R"({"seed": 42, "events": [
+    {"at_ms": 500, "kind": "iface_down", "iface": 1},
+    {"at_ms": 2000, "kind": "iface_up", "iface": 1},
+    {"at_ms": 900, "kind": "iface_flap", "iface": 1, "period_ms": 100,
+     "duty": 0.25, "duration_ms": 600},
+    {"at_ms": 300.5, "kind": "iface_scale", "iface": 0, "scale": 0.25,
+     "duration_ms": 400},
+    {"at_ms": 400, "kind": "worker_stall", "worker": 3, "duration_ms": 250},
+    {"at_ms": 100, "kind": "ingress_drop", "probability": 0.01,
+     "duration_ms": 1000},
+    {"at_ms": 100, "kind": "ingress_dup", "probability": 0.5,
+     "duration_ms": 1000},
+    {"at_ms": 100, "kind": "ingress_delay", "probability": 0.02,
+     "delay_ms": 5, "duration_ms": 1000},
+    {"at_ms": 600, "kind": "pool_exhaust", "duration_ms": 200}],
+  "observed": [{"at_ms": 250, "note": "shed \"engaged\" \\ \u0001"}]})";
+  // Bytes that keep a mutation JSON-shaped often enough to reach the
+  // schema checks, plus digits and exponents for the number fields.
+  const std::string alphabet = "0123456789.-+eE\"\\{}[]:, u";
+  // Whole-number swaps for the range checks: overflowing casts, values
+  // that round to 0 ns, and precision past 2^53.
+  const std::vector<std::string> hostile = {
+      "1e300", "1e-300", "1e20", "-0", "0.0000001", "4294967295",
+      "4294967296", "18446744073709551616", "123456789012.3456789", "1e9",
+      "1000000000.5", "0.5", "1", "-1"};
+  Rng rng(0xFA17);
+  int parsed = 0;
+  for (int trial = 0; trial < 20'000; ++trial) {
+    std::string text = valid;
+    if (rng.coin(0.3)) {
+      // Replace one number token.
+      std::size_t at = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(text.size()) - 1));
+      at = text.find_first_of("0123456789", at);
+      if (at == std::string::npos) at = text.find_first_of("0123456789");
+      const auto in_number = [&text](std::size_t i) {
+        return std::string("0123456789.eE+-").find(text[i]) !=
+               std::string::npos;
+      };
+      std::size_t begin = at;
+      while (begin > 0 && in_number(begin - 1)) --begin;
+      std::size_t end = at;
+      while (end < text.size() && in_number(end)) ++end;
+      text.replace(begin, end - begin,
+                   hostile[static_cast<std::size_t>(rng.uniform_int(
+                       0, static_cast<std::int64_t>(hostile.size()) - 1))]);
+    } else if (rng.coin(0.1)) {
+      text.resize(static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(text.size()) - 1)));
+    } else {
+      for (std::int64_t m = rng.uniform_int(1, 3); m > 0 && !text.empty();
+           --m) {
+        const auto at = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(text.size()) - 1));
+        const char c = alphabet[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(alphabet.size()) - 1))];
+        switch (rng.uniform_int(0, 2)) {
+          case 0: text[at] = c; break;
+          case 1: text.insert(at, 1, c); break;
+          default: text.erase(at, 1); break;
+        }
+      }
+    }
+    fault::FaultPlan plan;
+    try {
+      plan = fault::FaultPlan::parse_json(text);
+    } catch (const std::exception&) {
+      continue;  // rejected loudly: fine
+    }
+    ++parsed;
+    const std::string canonical = plan.to_json();
+    try {
+      EXPECT_EQ(fault::FaultPlan::parse_json(canonical).to_json(), canonical)
+          << "from: " << text;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "canonical form does not parse: " << e.what()
+                    << "\nfrom: " << text << "\ncanonical: " << canonical;
+    }
+  }
+  EXPECT_GT(parsed, 2000) << "too few mutations survived to test the fixpoint";
+  // Nesting is bounded, not a stack overflow.
+  EXPECT_THROW(fault::FaultPlan::parse_json(std::string(1'000'000, '[')),
+               std::exception);
 }
 
 }  // namespace

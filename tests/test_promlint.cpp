@@ -30,9 +30,9 @@ TEST(PromLint, RendererOutputIsClean) {
       .inc(3);
   registry.gauge("midrr_lint_depth", "depth").set(-1.5);
   auto& hist = registry.histogram("midrr_lint_wait_ns", "wait");
-  hist.observe(1);
-  hist.observe(100);
-  hist.observe(1'000'000);
+  hist.record(1);
+  hist.record(100);
+  hist.record(1'000'000);
   const std::string page = midrr::telemetry::render_prometheus(registry);
   const auto issues = lint_prometheus(page);
   EXPECT_TRUE(issues.empty()) << issues_text(issues) << page;

@@ -123,9 +123,9 @@ TEST(LatencyHistogram, MergeAccumulates) {
   LatencyHistogram b;
   for (int i = 0; i < 100; ++i) a.record(100);
   for (int i = 0; i < 100; ++i) b.record(10000);
-  LatencyHistogram merged;
-  merged.merge_from(a);
-  merged.merge_from(b);
+  LatencySnapshot merged;
+  merged.add(a);
+  merged.add(b);
   EXPECT_EQ(merged.count(), 200u);
   EXPECT_LT(merged.quantile(0.25), 120);
   EXPECT_GT(merged.quantile(0.75), 9000);

@@ -11,12 +11,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "fault/json.hpp"
 #include "runtime/load_generator.hpp"
 #include "runtime/rcu.hpp"
 #include "runtime/runtime.hpp"
@@ -27,6 +29,8 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/metrics_observer.hpp"
 #include "telemetry/prometheus.hpp"
+#include "telemetry/promlint.hpp"
+#include "telemetry/slo.hpp"
 #include "util/logging.hpp"
 
 namespace midrr::telemetry {
@@ -71,6 +75,23 @@ TEST(MetricsRegistry, CallbackSeriesCollectAtScrape) {
   EXPECT_DOUBLE_EQ(families[0].samples[0].value, 41.0);
 }
 
+TEST(MetricsRegistry, ExportedGridIsScrapedInPlace) {
+  MetricsRegistry reg;
+  LatencyHistogram grid;
+  reg.histogram_grid("midrr_grid_ns", "help", {{"k", "v"}}, grid);
+  grid.record(100);
+  grid.record(5000);
+  const auto families = reg.snapshot();
+  ASSERT_EQ(families.size(), 1u);
+  EXPECT_EQ(families[0].kind, MetricKind::kHistogram);
+  ASSERT_EQ(families[0].samples.size(), 1u);
+  EXPECT_EQ(families[0].samples[0].count, 2u);
+  EXPECT_DOUBLE_EQ(families[0].samples[0].sum, 5100.0);
+  EXPECT_THROW(reg.histogram("midrr_grid_ns", "help", {{"k", "v"}}),
+               std::exception)
+      << "an exported grid is not a registry handle";
+}
+
 TEST(MetricsRegistry, MultiWriterCounterIsExact) {
   MetricsRegistry reg;
   Counter& hits = reg.counter("midrr_mw_total", "help");
@@ -91,14 +112,14 @@ TEST(MetricsRegistry, ScrapeWhileWritingStaysConsistent) {
   // must be internally consistent -- buckets cumulative (non-decreasing in
   // le) and count >= the last cumulative bucket (the +Inf property).
   MetricsRegistry reg;
-  Histogram& h = reg.histogram("midrr_scrape_ns", "help");
+  LatencyHistogram& h = reg.histogram("midrr_scrape_ns", "help");
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
   for (int t = 0; t < 3; ++t) {
     writers.emplace_back([&h, &stop, t] {
       std::uint64_t v = static_cast<std::uint64_t>(t) + 1;
       while (!stop.load(std::memory_order_relaxed)) {
-        h.observe(v);
+        h.record(v);
         v = v * 2862933555777941757ULL + 3037000493ULL;  // cheap LCG
         v &= (1ULL << 32) - 1;
       }
@@ -143,10 +164,10 @@ TEST(Prometheus, GoldenExposition) {
 
 TEST(Prometheus, HistogramExposition) {
   MetricsRegistry reg;
-  Histogram& h = reg.histogram("midrr_wait_ns", "Wait.");
-  h.observe(100);    // <= 256
-  h.observe(1000);   // <= 1024
-  h.observe(50000);  // <= 65536
+  LatencyHistogram& h = reg.histogram("midrr_wait_ns", "Wait.");
+  h.record(100);    // <= 256
+  h.record(1000);   // <= 1024
+  h.record(50000);  // <= 65536
   const std::string text = render_prometheus(reg);
   EXPECT_NE(text.find("# TYPE midrr_wait_ns histogram"), std::string::npos);
   EXPECT_NE(text.find("midrr_wait_ns_bucket{le=\"256\"} 1\n"),
@@ -609,6 +630,119 @@ TEST(RuntimeTelemetry, RegistersRuntimeSeriesAndCapturesTrace) {
   EXPECT_GT(runtime.shard_recorder(0)->total_events() +
                 runtime.shard_recorder(1)->total_events(),
             0u);
+}
+
+/// Sum of the values of every sample line whose name is exactly `name`.
+std::uint64_t sum_series(const std::string& text, const std::string& name) {
+  std::uint64_t total = 0;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(name + "{", 0) == 0 || line.rfind(name + " ", 0) == 0) {
+      total += std::stoull(line.substr(line.rfind(' ') + 1));
+    }
+  }
+  return total;
+}
+
+TEST(RuntimeTelemetry, HistogramsAreScrapedFromTheRuntimesOwnGrids) {
+  MetricsRegistry reg;
+  rt::RuntimeOptions options;
+  options.workers = 2;
+  options.metrics = &reg;
+  options.stage_sample_every = 1;
+  rt::Runtime runtime(options);
+  runtime.add_interface("if0");
+  runtime.add_interface("if1");
+  std::vector<FlowId> flows;
+  for (int i = 0; i < 8; ++i) {
+    rt::RtFlowSpec spec;
+    spec.willing = {static_cast<IfaceId>(i % 2)};
+    flows.push_back(runtime.control().add_flow(spec));
+  }
+  runtime.start();
+  {
+    rt::IngressPort port = runtime.port(0);
+    for (std::size_t i = 0; i < 2000; ++i) {
+      port.offer(flows[i % flows.size()], 200);
+    }
+  }  // the port flushes its offered count on destruction
+  const auto settled = [&runtime] {
+    const rt::RuntimeStats s = runtime.stats();
+    return s.offered == s.dequeued + s.fanin_drops + s.tail_drops +
+                            s.shed_drops + s.straggler_drops &&
+           s.sent == s.dequeued;
+  };
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!settled() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  runtime.stop();
+  const rt::RuntimeStats stats = runtime.stats();
+  const StageTracer* tracer = runtime.stage_tracer();
+  ASSERT_NE(tracer, nullptr);
+  ASSERT_GT(stats.latency_count, 0u);
+  ASSERT_GT(tracer->completed(), 0u);
+
+  const std::string text = render_prometheus(reg);
+  EXPECT_EQ(sum_series(text, "midrr_rt_packet_wait_ns_count"),
+            stats.latency_count);
+  EXPECT_EQ(sum_series(text, "midrr_stage_e2e_ns_count"), tracer->completed());
+
+  // Every histogram series keeps the exposition ladder: powers of 4 from
+  // 256 to 2^32, then +Inf.
+  std::vector<double> ladder;
+  for (double le = 256.0; le <= 4294967296.0; le *= 4.0) ladder.push_back(le);
+  for (const std::string family :
+       {"midrr_rt_packet_wait_ns", "midrr_stage_latency_ns",
+        "midrr_stage_e2e_ns"}) {
+    std::map<std::string, std::vector<std::string>> les;  // by series
+    std::istringstream lines(text);
+    for (std::string line; std::getline(lines, line);) {
+      if (line.rfind(family + "_bucket{", 0) != 0) continue;
+      const std::size_t at = line.find("le=\"");
+      ASSERT_NE(at, std::string::npos) << line;
+      const std::size_t end = line.find('"', at + 4);
+      les[line.substr(0, at)].push_back(line.substr(at + 4, end - at - 4));
+    }
+    EXPECT_FALSE(les.empty()) << family;
+    for (const auto& [series, bounds] : les) {
+      ASSERT_EQ(bounds.size(), ladder.size() + 1) << series;
+      for (std::size_t i = 0; i < ladder.size(); ++i) {
+        EXPECT_DOUBLE_EQ(std::stod(bounds[i]), ladder[i]) << series;
+      }
+      EXPECT_EQ(bounds.back(), "+Inf") << series;
+    }
+  }
+  EXPECT_TRUE(lint_prometheus(text).empty());
+}
+
+// --- JSON bodies with caller-chosen names ---------------------------------
+
+TEST(TelemetryJson, CallerChosenNamesStayValidJson) {
+  const std::string name = "a\"b\\c";
+  FairnessSample sample;
+  FairnessFlowSample flow;
+  flow.id = 0;
+  flow.name = name;
+  sample.flows.push_back(flow);
+  const fault::JsonValue flows =
+      fault::JsonValue::parse(flows_json(sample, DriftReport{}));
+  EXPECT_EQ(flows.find("flows")->as_array()[0].find("name")->as_string(), name);
+
+  SloEngine slo({SloSpec{name, 5'000'000}}, 4);
+  const fault::JsonValue slos = fault::JsonValue::parse(slo.json(0));
+  EXPECT_EQ(slos.find("slos")->as_array()[0].find("class")->as_string(), name);
+
+  FlightRecorder flight;
+  flight.add_writer(name).log(1, FlightCategory::kHealth,
+                              FlightCode::kHealthDegraded);
+  const fault::JsonValue dump =
+      fault::JsonValue::parse(flight.dump_json(name, 2));
+  EXPECT_EQ(dump.find("reason")->as_string(), name);
+  EXPECT_EQ(dump.find("writers")->as_array()[0].as_string(), name);
+  EXPECT_EQ(dump.find("events")->as_array()[0].find("writer")->as_string(),
+            name);
 }
 
 }  // namespace

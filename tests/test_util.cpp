@@ -225,16 +225,40 @@ TEST(LatencyHistogram, QuantileErrorBoundedByOneSubBucket) {
   }
 }
 
-TEST(LatencyHistogram, MergeFromAddsCountersAndSums) {
+TEST(LatencyHistogram, SnapshotAddsCountersAndSums) {
   LatencyHistogram a, b;
   a.record(100);
   a.record(1000);
   b.record(100);
   b.record(1'000'000);
-  a.merge_from(b);
-  EXPECT_EQ(a.count(), 4u);
-  EXPECT_EQ(a.sum_raw(), 100u + 1000u + 100u + 1'000'000u);
-  EXPECT_EQ(a.bucket_count(LatencyHistogram::index_of(100)), 2u);
+  LatencySnapshot merged;
+  merged.add(a);
+  merged.add(b);
+  EXPECT_EQ(merged.count(), 4u);
+  EXPECT_EQ(merged.sum_ns, 100u + 1000u + 100u + 1'000'000u);
+  EXPECT_EQ(merged.counts[LatencyHistogram::index_of(100)], 2u);
+}
+
+TEST(LatencyHistogram, SnapshotMinusIsTheWindowBetweenTwoReads) {
+  LatencyHistogram h;
+  h.record(100);
+  LatencySnapshot earlier;
+  earlier.add(h);
+  h.record(100);
+  h.record(5000);
+  LatencySnapshot later;
+  later.add(h);
+  const LatencySnapshot window = later.minus(earlier);
+  EXPECT_EQ(window.count(), 2u);
+  EXPECT_EQ(window.sum_ns, 5100u);
+  EXPECT_EQ(window.counts[LatencyHistogram::index_of(100)], 1u);
+  // Racy reads can run a later snapshot behind an earlier one; the
+  // difference clamps at zero instead of wrapping.
+  EXPECT_EQ(earlier.minus(later).count(), 0u);
+  EXPECT_EQ(earlier.minus(later).sum_ns, 0u);
+  // The snapshot's estimator is the grid's.
+  EXPECT_DOUBLE_EQ(later.quantile(0.5), h.quantile(0.5));
+  EXPECT_DOUBLE_EQ(LatencySnapshot{}.quantile(0.99), 0.0);
 }
 
 TEST(LatencyHistogram, BucketBoundsBracketEveryValue) {

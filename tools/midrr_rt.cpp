@@ -40,6 +40,7 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/slo.hpp"
 #include "telemetry/stage_latency.hpp"
+#include "util/json_escape.hpp"
 
 namespace {
 
@@ -61,7 +62,7 @@ int usage() {
          "                  = saturate; pace it to study latency under a\n"
          "                  controlled load instead of full overload)\n"
          "  --packet B      packet size in bytes (default 1000)\n"
-         "  --payload M     none|heap|pooled: what each packet carries\n"
+         "  --payload M     none|pooled: what each packet carries\n"
          "                  (default none; pooled uses per-producer frame\n"
          "                  pools with cross-thread recycling)\n"
          "  --fanin-batch N max packets per ingress ring per fan-in pass\n"
@@ -183,8 +184,6 @@ int main(int argc, char** argv) {
       else if (key == "--payload") {
         const std::string mode = value();
         if (mode == "none") payload = LoadGeneratorOptions::PayloadMode::kNone;
-        else if (mode == "heap")
-          payload = LoadGeneratorOptions::PayloadMode::kHeap;
         else if (mode == "pooled")
           payload = LoadGeneratorOptions::PayloadMode::kPooled;
         else throw std::runtime_error("unknown payload mode: " + mode);
@@ -267,16 +266,8 @@ int main(int argc, char** argv) {
     // The injector outlives the runtime (fault seams hold a pointer).
     std::unique_ptr<fault::FaultInjector> injector;
     if (!fault_plan_file.empty()) {
-      std::ifstream plan_file(fault_plan_file);
-      if (!plan_file) {
-        std::cerr << "error: cannot read " << fault_plan_file << "\n";
-        return 1;
-      }
-      std::ostringstream plan_text;
-      plan_text << plan_file.rdbuf();
-      injector =
-          std::make_unique<fault::FaultInjector>(
-              fault::FaultPlan::parse_json(plan_text.str()));
+      injector = std::make_unique<fault::FaultInjector>(
+          fault::FaultPlan::parse_file(fault_plan_file));
       options.fault = injector.get();
     }
     options.backpressure_bytes = backpressure_bytes;
@@ -582,7 +573,8 @@ int main(int argc, char** argv) {
           if (!first) body << ',';
           first = false;
           body << "{\"id\":" << id << ",\"name\":\""
-               << (c.name.empty() ? "class" + std::to_string(id) : c.name)
+               << json_escape(c.name.empty() ? "class" + std::to_string(id)
+                                             : c.name)
                << "\",\"weight\":" << c.weight
                << ",\"members\":" << c.members << ",\"quarantined\":"
                << (c.quarantined ? "true" : "false") << ",\"willing\":[";
@@ -668,7 +660,7 @@ int main(int argc, char** argv) {
           for (std::size_t j = 0; j < rt3->iface_count(); ++j) {
             const auto id = static_cast<IfaceId>(j);
             if (j != 0) body << ',';
-            body << "{\"name\":\"" << rt3->iface_name(id)
+            body << "{\"name\":\"" << json_escape(rt3->iface_name(id))
                  << "\",\"drift_ratio\":" << ad->drift_ratio(id)
                  << ",\"drooped\":" << (ad->drooped(id) ? "true" : "false")
                  << "}";
@@ -860,6 +852,8 @@ int main(int argc, char** argv) {
           << "\"backpressure_rejects\":" << stats.backpressure_rejects << ","
           << "\"quarantine_rejects\":" << stats.quarantine_rejects << ","
           << "\"worker_restarts\":" << stats.worker_restarts << ","
+          << "\"bursts\":" << stats.bursts << ","
+          << "\"parks\":" << stats.parks << ","
           << "\"churn_ops\":" << churn_ops << ","
           << "\"metrics_series\":" << registry.series_count() << ","
           << "\"egress\":{"
@@ -899,15 +893,7 @@ int main(int argc, char** argv) {
       }
       out << "},";
       if (const telemetry::StageTracer* tracer = runtime.stage_tracer()) {
-        LatencyHistogram merged[telemetry::kStageCount];
-        LatencyHistogram e2e;
-        for (std::size_t j = 0; j < ifaces; ++j) {
-          for (std::size_t st = 0; st < telemetry::kStageCount; ++st) {
-            merged[st].merge_from(tracer->stage_grid(
-                static_cast<IfaceId>(j), static_cast<telemetry::Stage>(st)));
-          }
-          e2e.merge_from(tracer->e2e_grid(static_cast<IfaceId>(j)));
-        }
+        const LatencySnapshot e2e = tracer->e2e_merged();
         out << "\"stage\":{"
             << "\"sample_every\":" << tracer->sample_every() << ","
             << "\"started\":" << tracer->started() << ","
@@ -916,10 +902,11 @@ int main(int argc, char** argv) {
             << "\"dropped\":" << tracer->dropped() << ","
             << "\"reconciliation_error\":" << tracer->reconciliation_error();
         for (std::size_t st = 0; st < telemetry::kStageCount; ++st) {
-          const char* name =
-              telemetry::to_string(static_cast<telemetry::Stage>(st));
-          out << ",\"" << name << "_p50_ns\":" << merged[st].quantile(0.50)
-              << ",\"" << name << "_p99_ns\":" << merged[st].quantile(0.99);
+          const auto stage = static_cast<telemetry::Stage>(st);
+          const LatencySnapshot merged = tracer->stage_merged(stage);
+          const char* name = telemetry::to_string(stage);
+          out << ",\"" << name << "_p50_ns\":" << merged.quantile(0.50)
+              << ",\"" << name << "_p99_ns\":" << merged.quantile(0.99);
         }
         out << ",\"e2e_p50_ns\":" << e2e.quantile(0.50)
             << ",\"e2e_p99_ns\":" << e2e.quantile(0.99)
@@ -934,7 +921,7 @@ int main(int argc, char** argv) {
         out << "\"flight\":{"
             << "\"events\":" << flight->events_logged() << ","
             << "\"dumps\":" << flight->dumps() << ","
-            << "\"dump_path\":\"" << flight_dump << "\"},";
+            << "\"dump_path\":\"" << json_escape(flight_dump) << "\"},";
       }
       if (injector != nullptr) {
         out << "\"fault\":{"
@@ -963,7 +950,7 @@ int main(int argc, char** argv) {
             supervisor->verdict_sequence();
         for (std::size_t i = 0; i < verdicts.size(); ++i) {
           if (i != 0) out << ',';
-          out << '"' << verdicts[i] << '"';
+          out << '"' << json_escape(verdicts[i]) << '"';
         }
         out << "]},";
       }
@@ -984,7 +971,7 @@ int main(int argc, char** argv) {
         for (std::size_t j = 0; j < ifaces; ++j) {
           const auto id = static_cast<IfaceId>(j);
           if (j != 0) out << ',';
-          out << "{\"iface\":\"" << runtime.iface_name(id)
+          out << "{\"iface\":\"" << json_escape(runtime.iface_name(id))
               << "\",\"ratio\":" << adapt->drift_ratio(id)
               << ",\"drooped\":" << (adapt->drooped(id) ? "true" : "false")
               << "}";
@@ -1006,6 +993,7 @@ int main(int argc, char** argv) {
       out
           << "\"pps\":" << pps << ","
           << "\"gbps\":" << gbps_out << ","
+          << "\"latency_count\":" << stats.latency_count << ","
           << "\"latency_p50_ns\":" << stats.latency_p50_ns << ","
           << "\"latency_p90_ns\":" << stats.latency_p90_ns << ","
           << "\"latency_p99_ns\":" << stats.latency_p99_ns << ","
@@ -1087,22 +1075,15 @@ int main(int argc, char** argv) {
                 << stats.latency_mean_ns / 1e3 << " us, n="
                 << stats.latency_count << ")\n";
       if (const telemetry::StageTracer* tracer = runtime.stage_tracer()) {
-        LatencyHistogram merged[telemetry::kStageCount];
-        for (std::size_t j = 0; j < ifaces; ++j) {
-          for (std::size_t st = 0; st < telemetry::kStageCount; ++st) {
-            merged[st].merge_from(tracer->stage_grid(
-                static_cast<IfaceId>(j), static_cast<telemetry::Stage>(st)));
-          }
-        }
+        const auto p99_us = [tracer](telemetry::Stage stage) {
+          return tracer->stage_merged(stage).quantile(0.99) / 1e3;
+        };
         std::cout << "  stages    1/" << tracer->sample_every() << " sampled: "
                   << tracer->completed() << " completed, " << tracer->lost()
                   << " lost, " << tracer->dropped() << " dropped | p99 ring "
-                  << static_cast<double>(merged[0].quantile(0.99)) / 1e3
-                  << " us, queue "
-                  << static_cast<double>(merged[1].quantile(0.99)) / 1e3
-                  << " us, egress "
-                  << static_cast<double>(merged[2].quantile(0.99)) / 1e3
-                  << " us\n";
+                  << p99_us(telemetry::Stage::kRing) << " us, queue "
+                  << p99_us(telemetry::Stage::kQueue) << " us, egress "
+                  << p99_us(telemetry::Stage::kEgress) << " us\n";
       }
       if (slo != nullptr) {
         const std::uint64_t now =

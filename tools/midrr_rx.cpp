@@ -142,11 +142,11 @@ int main(int argc, char** argv) {
   std::atomic<std::uint64_t> traced_datagrams{0};
 
   // Registry lives whether or not --telemetry is given: the wire-latency
-  // histogram doubles as the report's data source (Histogram wraps the
-  // same LatencyHistogram grid, and observe() is one relaxed fetch_add).
+  // histogram doubles as the report's data source (one relaxed fetch_add
+  // per sample into the registry-owned grid).
   // Declared after by_port so scrape callbacks never outlive the tallies.
   midrr::telemetry::MetricsRegistry registry;
-  midrr::telemetry::Histogram& wire_hist = registry.histogram(
+  midrr::LatencyHistogram& wire_hist = registry.histogram(
       "midrr_rx_wire_latency_ns",
       "One-way wire latency: receive time minus the sender's WireHeader tx "
       "timestamp (traced datagrams only)");
@@ -272,7 +272,7 @@ int main(int argc, char** argv) {
                                         ? now_ns - header->tx_timestamp_ns
                                         : 0;
           traced_datagrams.fetch_add(1, std::memory_order_relaxed);
-          wire_hist.observe(lat);
+          wire_hist.record(lat);
         }
         FlowTally& flow = by_flow[header->flow];
         ++flow.datagrams;
