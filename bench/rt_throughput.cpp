@@ -34,7 +34,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,6 +48,7 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/slo.hpp"
 #include "telemetry/stage_latency.hpp"
+#include "util/json.hpp"
 #include "util/latency_histogram.hpp"
 
 namespace {
@@ -670,11 +670,16 @@ ScaleCell run_scale_cell(std::size_t flows, std::size_t flows_per_class,
   return cell;
 }
 
-void emit_cell_common(std::ostringstream& json, const Cell& c) {
-  json << "\"pps\": " << c.pps << ", \"dequeued\": " << c.dequeued
-       << ", \"duration_s\": " << c.duration_s
-       << ", \"latency_p50_ns\": " << c.p50_ns
-       << ", \"latency_p99_ns\": " << c.p99_ns;
+void emit_cell_common(midrr::JsonWriter& json, const Cell& c) {
+  json.field("pps", c.pps).field("dequeued", c.dequeued)
+      .field("duration_s", c.duration_s).field("latency_p50_ns", c.p50_ns)
+      .field("latency_p99_ns", c.p99_ns);
+}
+
+double pkts_per_syscall(const EgressCell& c) {
+  return c.syscalls > 0
+             ? static_cast<double>(c.sent) / static_cast<double>(c.syscalls)
+             : 0;
 }
 
 }  // namespace
@@ -822,11 +827,7 @@ int main(int argc, char** argv) {
       const EgressCell cell =
           run_egress_cell(EgressKind::kUdp, batch, duration_s);
       std::cerr << " " << cell.pps / 1e6 << " Mpps, "
-                << (cell.syscalls > 0
-                        ? static_cast<double>(cell.sent) /
-                              static_cast<double>(cell.syscalls)
-                        : 0)
-                << " pkts/syscall\n";
+                << pkts_per_syscall(cell) << " pkts/syscall\n";
       egress_cells.push_back(cell);
     }
     // io_uring cell: same topology and burst depth, one submit per burst.
@@ -848,11 +849,8 @@ int main(int argc, char** argv) {
         std::cerr << "rt_throughput: egress " << label << "..." << std::flush;
         const EgressCell cell = run_egress_cell(kind, 0, duration_s);
         std::cerr << " " << cell.pps / 1e6 << " Mpps, "
-                  << (cell.syscalls > 0
-                          ? static_cast<double>(cell.sent) /
-                                static_cast<double>(cell.syscalls)
-                          : 0)
-                  << " pkts/syscall, peak inflight " << cell.peak_inflight
+                  << pkts_per_syscall(cell) << " pkts/syscall, peak inflight "
+                  << cell.peak_inflight
                   << ", " << cell.fixed_sends << " zero-copy / "
                   << cell.fallback_sends << " fallback sends\n";
         egress_cells.push_back(cell);
@@ -878,194 +876,163 @@ int main(int argc, char** argv) {
     scale_cells.push_back(cell);
   }
 
-  std::ostringstream json;
-  json << "{\n"
-       << "  \"bench\": \"rt_throughput\",\n"
-       << "  \"ifaces\": 8,\n"
-       << "  \"producers\": 1,\n"
-       << "  \"packet_bytes\": 1000,\n"
-       << "  \"shards\": \"= workers\",\n"
-       << "  \"hardware_concurrency\": "
-       << std::thread::hardware_concurrency() << ",\n"
-       << "  \"note\": \"pps scaling across workers requires as many free "
-          "cores; on a 1-core host the sweep measures overhead, not "
-          "speedup\",\n"
-       << "  \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    json << "    {\"flows\": " << c.flows << ", \"workers\": " << c.workers
-         << ", \"telemetry\": " << (c.telemetry ? "true" : "false") << ", ";
+  midrr::JsonWriter json;
+  json.begin_object().field("bench", "rt_throughput").field("ifaces", 8)
+      .field("producers", 1).field("packet_bytes", 1000)
+      .field("shards", "= workers")
+      .field("hardware_concurrency", std::thread::hardware_concurrency())
+      .field("note",
+             "pps scaling across workers requires as many free cores; on a "
+             "1-core host the sweep measures overhead, not speedup")
+      .key("cells").begin_array();
+  for (const Cell& c : cells) {
+    json.begin_object().field("flows", c.flows).field("workers", c.workers)
+        .field("telemetry", c.telemetry);
     emit_cell_common(json, c);
-    json << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
+    json.end_object();
   }
   // Adjacent off/on pairs share a configuration; their ratio isolates the
   // metrics hot-path cost (relaxed atomic bumps in the observer + workers).
-  json << "  ],\n  \"telemetry_overhead\": [\n";
-  bool first = true;
+  json.end_array().key("telemetry_overhead").begin_array();
   for (std::size_t i = 0; i + 1 < cells.size(); i += 2) {
     const Cell& off = cells[i];
     const Cell& on = cells[i + 1];
     if (off.telemetry || !on.telemetry) continue;  // defensive: expect pairs
-    if (!first) json << ",\n";
-    first = false;
-    json << "    {\"flows\": " << off.flows << ", \"workers\": " << off.workers
-         << ", \"pps_off\": " << off.pps << ", \"pps_on\": " << on.pps
-         << ", \"on_over_off\": " << (off.pps > 0 ? on.pps / off.pps : 0)
-         << "}";
+    json.begin_object().field("flows", off.flows).field("workers", off.workers)
+        .field("pps_off", off.pps).field("pps_on", on.pps)
+        .field("on_over_off", off.pps > 0 ? on.pps / off.pps : 0)
+        .end_object();
   }
-  json << "\n  ],\n  \"fanin_batch_sweep\": [\n";
-  for (std::size_t i = 0; i < batch_cells.size(); ++i) {
-    const Cell& c = batch_cells[i];
-    json << "    {\"fanin_batch\": " << c.fanin_batch << ", ";
+  json.end_array().key("fanin_batch_sweep").begin_array();
+  for (const Cell& c : batch_cells) {
+    json.begin_object().field("fanin_batch", c.fanin_batch);
     emit_cell_common(json, c);
-    json << "}" << (i + 1 < batch_cells.size() ? "," : "") << "\n";
+    json.end_object();
   }
-  json << "  ],\n  \"payload_sweep\": [\n";
-  for (std::size_t i = 0; i < payload_cells.size(); ++i) {
-    const Cell& c = payload_cells[i];
-    json << "    {\"payload\": \"" << payload_name(c.payload) << "\", ";
+  json.end_array().key("payload_sweep").begin_array();
+  for (const Cell& c : payload_cells) {
+    json.begin_object().field("payload", payload_name(c.payload));
     emit_cell_common(json, c);
-    if (c.payload == PayloadMode::kPooled) {
-      json << ", \"pool\": {\"slabs\": " << c.pool.slabs
-           << ", \"acquired\": " << c.pool.acquired
-           << ", \"released\": " << c.pool.released
-           << ", \"misses\": " << c.pool.misses
-           << ", \"cross_thread_returns\": " << c.pool.cross_thread_returns
-           << ", \"overflow_returns\": " << c.pool.overflow_returns << "}";
-    }
-    json << "}" << (i + 1 < payload_cells.size() ? "," : "") << "\n";
+    if (c.payload == PayloadMode::kPooled) write_json(json.key("pool"), c.pool);
+    json.end_object();
   }
   // Tracing off vs 1-in-64 at the same configuration; traced_over_base is
   // the number the <= 5% overhead budget bounds in CI.
-  json << "  ],\n  \"latency_attribution\": ";
+  json.end_array().key("latency_attribution");
   if (attribution_cells.size() == 2) {
     const Cell& base = attribution_cells[0];
     const Cell& traced = attribution_cells[1];
-    json << "{\n    \"sample_every\": " << traced.stage_sample
-         << ", \"pps_base\": " << base.pps
-         << ", \"pps_traced\": " << traced.pps << ", \"traced_over_base\": "
-         << (base.pps > 0 ? traced.pps / base.pps : 0) << ",\n"
-         << "    \"trace\": {\"started\": " << traced.trace_started
-         << ", \"completed\": " << traced.trace_completed
-         << ", \"lost\": " << traced.trace_lost
-         << ", \"dropped\": " << traced.trace_dropped << "},\n"
-         << "    \"reconciliation_error\": " << traced.reconciliation_error
-         << ",\n    \"stages\": [";
+    json.begin_object().field("sample_every", traced.stage_sample)
+        .field("pps_base", base.pps).field("pps_traced", traced.pps)
+        .field("traced_over_base", base.pps > 0 ? traced.pps / base.pps : 0)
+        .key("trace").begin_object().field("started", traced.trace_started)
+        .field("completed", traced.trace_completed)
+        .field("lost", traced.trace_lost)
+        .field("dropped", traced.trace_dropped).end_object()
+        .field("reconciliation_error", traced.reconciliation_error)
+        .key("stages").begin_array();
     for (std::size_t s = 0; s < midrr::telemetry::kStageCount; ++s) {
-      json << (s > 0 ? ", " : "") << "{\"stage\": \""
-           << midrr::telemetry::to_string(
-                  static_cast<midrr::telemetry::Stage>(s))
-           << "\", \"p50_ns\": " << traced.stages[s].p50_ns
-           << ", \"p99_ns\": " << traced.stages[s].p99_ns << "}";
+      json.begin_object()
+          .field("stage", midrr::telemetry::to_string(
+                              static_cast<midrr::telemetry::Stage>(s)))
+          .field("p50_ns", traced.stages[s].p50_ns)
+          .field("p99_ns", traced.stages[s].p99_ns).end_object();
     }
-    json << "],\n    \"e2e\": {\"p50_ns\": " << traced.e2e.p50_ns
-         << ", \"p99_ns\": " << traced.e2e.p99_ns << "}\n  }";
+    json.end_array().key("e2e").begin_object()
+        .field("p50_ns", traced.e2e.p50_ns).field("p99_ns", traced.e2e.p99_ns)
+        .end_object().end_object();
   } else {
-    json << "null";
+    json.null();
   }
-  json << ",\n  \"slo_burn\": ";
+  json.key("slo_burn");
   if (!slo_cells.empty()) {
     const SloCell& c = slo_cells.front();
-    json << "{\"target_p99_ns\": " << c.target_ns
-         << ", \"overload\": " << c.overload << ", \"samples\": " << c.samples
-         << ", \"violations\": " << c.violations
-         << ", \"burn_short\": " << c.burn_short
-         << ", \"burn_long\": " << c.burn_long
-         << ", \"duration_s\": " << c.duration_s << "}";
+    json.begin_object().field("target_p99_ns", c.target_ns)
+        .field("overload", c.overload).field("samples", c.samples)
+        .field("violations", c.violations).field("burn_short", c.burn_short)
+        .field("burn_long", c.burn_long).field("duration_s", c.duration_s)
+        .end_object();
   } else {
-    json << "null";
+    json.null();
   }
-  json << ",\n  \"overload_shedding\": [\n";
-  for (std::size_t i = 0; i < overload_cells.size(); ++i) {
-    const OverloadCell& c = overload_cells[i];
-    json << "    {\"shed_bytes\": " << c.shed_bytes
-         << ", \"overload\": " << c.overload << ", \"jain\": " << c.jain
-         << ", \"utilization\": " << c.utilization
-         << ", \"shed_drops\": " << c.shed_drops
-         << ", \"tail_drops\": " << c.tail_drops
-         << ", \"duration_s\": " << c.duration_s << "}"
-         << (i + 1 < overload_cells.size() ? "," : "") << "\n";
+  json.key("overload_shedding").begin_array();
+  for (const OverloadCell& c : overload_cells) {
+    json.begin_object().field("shed_bytes", c.shed_bytes)
+        .field("overload", c.overload).field("jain", c.jain)
+        .field("utilization", c.utilization)
+        .field("shed_drops", c.shed_drops).field("tail_drops", c.tail_drops)
+        .field("duration_s", c.duration_s).end_object();
   }
-  json << "  ],\n  \"adaptive_shedding\": ";
+  json.end_array().key("adaptive_shedding");
   if (!adaptive_cells.empty()) {
     const AdaptiveCell& c = adaptive_cells.front();
-    json << "{\"target_p99_ns\": " << c.target_p99_ns
-         << ", \"overload\": " << c.overload << ", \"jain\": " << c.jain
-         << ", \"utilization\": " << c.utilization
-         << ", \"final_shed_bytes\": " << c.final_shed_bytes
-         << ", \"windowed_p99_ns\": " << c.windowed_p99_ns
-         << ", \"correction\": " << c.correction
-         << ", \"retunes\": " << c.retunes
-         << ", \"shed_engages\": " << c.shed_engages
-         << ", \"shed_drops\": " << c.shed_drops
-         << ", \"tail_drops\": " << c.tail_drops
-         << ", \"duration_s\": " << c.duration_s << "}";
+    json.begin_object().field("target_p99_ns", c.target_p99_ns)
+        .field("overload", c.overload).field("jain", c.jain)
+        .field("utilization", c.utilization)
+        .field("final_shed_bytes", c.final_shed_bytes)
+        .field("windowed_p99_ns", c.windowed_p99_ns)
+        .field("correction", c.correction).field("retunes", c.retunes)
+        .field("shed_engages", c.shed_engages)
+        .field("shed_drops", c.shed_drops).field("tail_drops", c.tail_drops)
+        .field("duration_s", c.duration_s).end_object();
   } else {
-    json << "null";
+    json.null();
   }
   // Sim vs loopback-UDP egress.  The note travels with the data because
   // these cells are easy to misread as a NIC throughput claim.
-  json << ",\n  \"egress_sweep_note\": \"loopback is not NIC-bound: udp "
-          "and uring cells meter serialization overhead and syscall "
-          "amortization (sendmmsg max_batch vs coalesced io_uring "
-          "submits), not wire throughput; SEND_ZC on loopback always "
-          "copies kernel-side (zero-copy cannot pay off here, and the "
-          "per-packet notification CQE plus completion-driven double "
-          "handling cost a single-core host some pps vs sendmmsg), so "
-          "uring-copy (sendmsg fallback, one CQE per packet) isolates "
-          "the notification cost\",\n"
-          "  \"egress_sweep\": [\n";
-  for (std::size_t i = 0; i < egress_cells.size(); ++i) {
-    const EgressCell& c = egress_cells[i];
-    json << "    {\"backend\": \"" << c.backend << "\"";
-    if (c.max_batch != 0) json << ", \"max_batch\": " << c.max_batch;
-    json << ", \"pps\": " << c.pps << ", \"sent\": " << c.sent
-         << ", \"syscalls\": " << c.syscalls
-         << ", \"pkts_per_syscall\": "
-         << (c.syscalls > 0 ? static_cast<double>(c.sent) /
-                                  static_cast<double>(c.syscalls)
-                            : 0)
-         << ", \"io_requeued\": " << c.requeued
-         << ", \"io_drops\": " << c.io_drops;
+  json.field("egress_sweep_note",
+             "loopback is not NIC-bound: udp and uring cells meter "
+             "serialization overhead and syscall amortization (sendmmsg "
+             "max_batch vs coalesced io_uring submits), not wire throughput; "
+             "SEND_ZC on loopback always copies kernel-side (zero-copy cannot "
+             "pay off here, and the per-packet notification CQE plus "
+             "completion-driven double handling cost a single-core host some "
+             "pps vs sendmmsg), so uring-copy (sendmsg fallback, one CQE per "
+             "packet) isolates the notification cost")
+      .key("egress_sweep").begin_array();
+  for (const EgressCell& c : egress_cells) {
+    json.begin_object().field("backend", c.backend);
+    if (c.max_batch != 0) json.field("max_batch", c.max_batch);
+    json.field("pps", c.pps).field("sent", c.sent)
+        .field("syscalls", c.syscalls)
+        .field("pkts_per_syscall", pkts_per_syscall(c))
+        .field("io_requeued", c.requeued).field("io_drops", c.io_drops);
     if (std::string(c.backend).rfind("uring", 0) == 0) {
-      json << ", \"peak_inflight\": " << c.peak_inflight
-           << ", \"fixed_sends\": " << c.fixed_sends
-           << ", \"fallback_sends\": " << c.fallback_sends;
+      json.field("peak_inflight", c.peak_inflight)
+          .field("fixed_sends", c.fixed_sends)
+          .field("fallback_sends", c.fallback_sends);
     }
-    json << ", \"latency_p50_ns\": " << c.p50_ns
-         << ", \"latency_p99_ns\": " << c.p99_ns
-         << ", \"duration_s\": " << c.duration_s << "}"
-         << (i + 1 < egress_cells.size() ? "," : "") << "\n";
+    json.field("latency_p50_ns", c.p50_ns).field("latency_p99_ns", c.p99_ns)
+        .field("duration_s", c.duration_s).end_object();
   }
   // Equal class counts at 100x different flow counts: the publish-latency
   // ratio is the evidence that control-plane cost tracks classes, not
   // flows.  CI bounds the ratio and the per-flow resident bytes.
-  json << "  ],\n  \"scale_sweep\": [\n";
-  for (std::size_t i = 0; i < scale_cells.size(); ++i) {
-    const ScaleCell& c = scale_cells[i];
-    json << "    {\"flows\": " << c.flows
-         << ", \"flows_per_class\": " << c.flows_per_class
-         << ", \"classes\": " << c.classes
-         << ", \"register_s\": " << c.register_s
-         << ", \"rss_delta_bytes\": " << c.rss_delta_bytes
-         << ", \"rss_bytes_per_flow\": " << c.rss_bytes_per_flow
-         << ", \"publish_p50_ns\": " << c.publish_p50_ns
-         << ", \"pps\": " << c.pps << ", \"dequeued\": " << c.dequeued
-         << ", \"duration_s\": " << c.duration_s << "}"
-         << (i + 1 < scale_cells.size() ? "," : "") << "\n";
+  json.end_array().key("scale_sweep").begin_array();
+  for (const ScaleCell& c : scale_cells) {
+    json.begin_object().field("flows", c.flows)
+        .field("flows_per_class", c.flows_per_class)
+        .field("classes", c.classes).field("register_s", c.register_s)
+        .field("rss_delta_bytes", c.rss_delta_bytes)
+        .field("rss_bytes_per_flow", c.rss_bytes_per_flow)
+        .field("publish_p50_ns", c.publish_p50_ns).field("pps", c.pps)
+        .field("dequeued", c.dequeued).field("duration_s", c.duration_s)
+        .end_object();
   }
-  json << "  ],\n  \"scale_publish_ratio\": "
-       << (scale_cells.size() == 2 && scale_cells[0].publish_p50_ns > 0
-               ? scale_cells[1].publish_p50_ns / scale_cells[0].publish_p50_ns
-               : 0)
-       << "\n}\n";
+  json.end_array()
+      .field("scale_publish_ratio",
+             scale_cells.size() == 2 && scale_cells[0].publish_p50_ns > 0
+                 ? scale_cells[1].publish_p50_ns /
+                       scale_cells[0].publish_p50_ns
+                 : 0)
+      .end_object();
 
   std::ofstream out(out_path);
   if (!out) {
     std::cerr << "error: cannot write " << out_path << "\n";
     return 1;
   }
-  out << json.str();
+  out << json.str() << "\n";
   std::cout << "wrote " << out_path << "\n";
   return 0;
 }

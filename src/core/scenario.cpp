@@ -252,6 +252,7 @@ void ScenarioRunner::sample_rates() {
     flow->rate_series.add(sim_.now(),
                           to_mbps(flow->meter.rate_bps(sim_.now())));
   }
+  sim_.schedule_in(options_.sample_interval, [this] { sample_rates(); });
 }
 
 fair::MaxMinInput ScenarioRunner::current_input() const {
@@ -302,6 +303,7 @@ void ScenarioRunner::snapshot_clusters() {
   }
   snap.rendering = fair::format_clusters(snap.analysis, flow_names, iface_names);
   cluster_log_.push_back(std::move(snap));
+  sim_.schedule_in(options_.cluster_interval, [this] { snapshot_clusters(); });
 }
 
 ScenarioResult ScenarioRunner::run(SimTime until) {
@@ -320,22 +322,12 @@ ScenarioResult ScenarioRunner::run(SimTime until) {
       });
     }
 
-    // Periodic sampling; self-rescheduling events.  The samplers reschedule
-    // unconditionally; run_until() simply leaves future ticks pending.
-    auto sampler = std::make_shared<std::function<void()>>();
-    *sampler = [this, sampler] {
-      sample_rates();
-      sim_.schedule_in(options_.sample_interval, *sampler);
-    };
-    sim_.schedule_in(options_.sample_interval, *sampler);
-
+    // Periodic sampling: each tick reschedules the next one unconditionally;
+    // run_until() simply leaves future ticks pending.
+    sim_.schedule_in(options_.sample_interval, [this] { sample_rates(); });
     if (options_.cluster_interval > 0) {
-      auto cluster_sampler = std::make_shared<std::function<void()>>();
-      *cluster_sampler = [this, cluster_sampler] {
-        snapshot_clusters();
-        sim_.schedule_in(options_.cluster_interval, *cluster_sampler);
-      };
-      sim_.schedule_in(options_.cluster_interval, *cluster_sampler);
+      sim_.schedule_in(options_.cluster_interval,
+                       [this] { snapshot_clusters(); });
     }
   }
 

@@ -213,6 +213,23 @@ bool AdaptiveController::drooped(IfaceId iface) const {
          links_[iface].drooped_mirror.load(std::memory_order_acquire) != 0;
 }
 
+void AdaptiveController::write_json(JsonWriter& out) const {
+  out.begin_object().field("target_p99_ns", target_p99_ns())
+      .field("shed_bytes", rt_.shed_bytes())
+      .field("shedding_active", shed_active())
+      .field("windowed_p99_ns", windowed_p99_ns())
+      .field("correction", correction()).field("updates", updates())
+      .field("retunes", retunes()).field("shed_engages", shed_engages())
+      .field("droop_enters", droop_enters())
+      .field("droop_exits", droop_exits()).key("ifaces").begin_array();
+  for (IfaceId j = 0; j < links_.size(); ++j) {
+    out.begin_object().field("name", rt_.iface_name(j))
+        .field("drift_ratio", drift_ratio(j)).field("drooped", drooped(j))
+        .end_object();
+  }
+  out.end_array().end_object();
+}
+
 void AdaptiveController::register_metrics(
     telemetry::MetricsRegistry& registry) {
   registry.gauge_fn(

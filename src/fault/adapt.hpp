@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "fault/supervisor.hpp"
+#include "util/json.hpp"
 #include "util/latency_histogram.hpp"
 #include "util/time.hpp"
 
@@ -150,6 +151,11 @@ class AdaptiveController {
   std::uint64_t shed_engages() const {
     return shed_engages_.load(std::memory_order_relaxed);
   }
+
+  /// The /adapt body, which the midrr_rt report embeds as its "adapt"
+  /// block: loop state, the runtime's applied watermark, and per interface
+  /// {name, drift_ratio, drooped}.  Safe from any thread.
+  void write_json(JsonWriter& out) const;
 
   /// Registers midrr_adapt_* and midrr_supervisor_capacity_drift_ratio;
   /// `registry` must outlive this.

@@ -1,15 +1,14 @@
 #include "fault/fault_plan.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 
-#include "fault/json.hpp"
-#include "util/json_escape.hpp"
+#include "util/json.hpp"
 
 namespace midrr::fault {
 
@@ -72,14 +71,6 @@ FieldSpec fields_for(FaultKind kind) {
   return {};
 }
 
-/// Largest time or duration a plan may name: keeps every nanosecond count
-/// below 2^51, where ms_str and ms_to_ns round-trip exactly (~11.6 days).
-constexpr double kMaxMs = 1e9;
-
-SimDuration ms_to_ns(double ms) {
-  return static_cast<SimDuration>(ms * 1e6 + 0.5);
-}
-
 double number_field(const JsonValue& obj, std::size_t index,
                     const std::string& key) {
   const JsonValue* v = obj.find(key);
@@ -91,16 +82,15 @@ double number_field(const JsonValue& obj, std::size_t index,
   }
 }
 
-/// A millisecond field as nanoseconds, in [0, kMaxMs]; `positive` fields
+/// A millisecond field as nanoseconds, in [0, 1e9] ms; `positive` fields
 /// must also be at least 1 ns once rounded.
 SimDuration ms_field(const JsonValue& obj, std::size_t index,
                      const std::string& key, bool positive) {
-  const double ms = number_field(obj, index, key);
-  if (ms < 0) fail(index, key + " must be >= 0");
-  if (ms > kMaxMs) fail(index, key + " must be <= 1e9 (about 11.6 days)");
-  const SimDuration ns = ms_to_ns(ms);
-  if (positive && ns <= 0) fail(index, key + " must be > 0");
-  return ns;
+  const std::optional<SimDuration> ns =
+      checked_ms_to_ns(number_field(obj, index, key));
+  if (!ns) fail(index, key + " must be in [0, 1e9] (about 11.6 days)");
+  if (positive && *ns <= 0) fail(index, key + " must be > 0");
+  return *ns;
 }
 
 /// An interface or worker index: a whole number below kInvalidIface.
@@ -113,21 +103,12 @@ std::uint32_t index_field(const JsonValue& obj, std::size_t index,
   return static_cast<std::uint32_t>(v);
 }
 
-/// Shortest representation that strtod round-trips to the same double.
-std::string number_str(double v) {
-  char buf[64];
-  const std::to_chars_result res = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, res.ptr);
-}
-
-/// Nanoseconds as milliseconds: integral values without a decimal point so
-/// hand-written plans ("at_ms": 100) survive a round trip byte-identical.
-/// Fractional values print shortest-round-trip; ms_to_ns recovers the
-/// exact nanosecond count because the absolute error of ns/1e6*1e6 is far
-/// below the +0.5 rounding slack for any ns < 2^51.
-std::string ms_str(SimDuration ns) {
-  if (ns % 1'000'000 == 0) return std::to_string(ns / 1'000'000);
-  return number_str(static_cast<double>(ns) / 1e6);
+/// Nanoseconds as milliseconds for the writer.  Its shortest round-trip
+/// form lets checked_ms_to_ns recover the exact nanosecond count: the
+/// absolute error of ns/1e6*1e6 is far below the +0.5 rounding slack for
+/// any ns < 2^51.
+double to_ms(SimDuration ns) {
+  return static_cast<double>(ns) / static_cast<double>(kMillisecond);
 }
 
 }  // namespace
@@ -254,11 +235,10 @@ FaultPlan FaultPlan::parse_json(std::string_view text) {
       const JsonValue* note = entry.find("note");
       if (at == nullptr) note_fail("missing field \"at_ms\"");
       if (note == nullptr) note_fail("missing field \"note\"");
-      const double at_ms = at->as_number();
-      if (!(at_ms >= 0 && at_ms <= kMaxMs)) {
-        note_fail("at_ms must be in [0, 1e9]");
-      }
-      plan.observed.push_back(ObservedNote{ms_to_ns(at_ms), note->as_string()});
+      const std::optional<SimDuration> at_ns =
+          checked_ms_to_ns(at->as_number());
+      if (!at_ns) note_fail("at_ms must be in [0, 1e9]");
+      plan.observed.push_back(ObservedNote{*at_ns, note->as_string()});
       ++note_index;
     }
     std::stable_sort(plan.observed.begin(), plan.observed.end(),
@@ -279,60 +259,53 @@ std::string FaultPlan::to_json() const {
                    [](const ObservedNote& a, const ObservedNote& b) {
                      return a.at_ns < b.at_ns;
                    });
-  std::ostringstream out;
-  out << "{\n  \"seed\": " << seed << ",\n  \"events\": [";
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    const FaultEvent& e = sorted[i];
-    out << (i == 0 ? "\n" : ",\n") << "    {\"at_ms\": " << ms_str(e.at_ns)
-        << ", \"kind\": \"" << to_string(e.kind) << '"';
+  JsonWriter out;
+  out.begin_object().field("seed", seed).key("events").begin_array();
+  for (const FaultEvent& e : sorted) {
+    out.begin_object().field("at_ms", to_ms(e.at_ns))
+        .field("kind", to_string(e.kind));
     switch (e.kind) {
       case FaultKind::kIfaceDown:
       case FaultKind::kIfaceUp:
-        out << ", \"iface\": " << e.iface;
+        out.field("iface", e.iface);
         break;
       case FaultKind::kIfaceFlap:
-        out << ", \"iface\": " << e.iface
-            << ", \"period_ms\": " << ms_str(e.period_ns)
-            << ", \"duty\": " << number_str(e.duty)
-            << ", \"duration_ms\": " << ms_str(e.duration_ns);
+        out.field("iface", e.iface).field("period_ms", to_ms(e.period_ns))
+            .field("duty", e.duty);
         break;
       case FaultKind::kIfaceScale:
-        out << ", \"iface\": " << e.iface
-            << ", \"scale\": " << number_str(e.scale)
-            << ", \"duration_ms\": " << ms_str(e.duration_ns);
+        out.field("iface", e.iface).field("scale", e.scale);
         break;
       case FaultKind::kWorkerStall:
-        out << ", \"worker\": " << e.worker
-            << ", \"duration_ms\": " << ms_str(e.duration_ns);
+        out.field("worker", e.worker);
         break;
       case FaultKind::kIngressDrop:
       case FaultKind::kIngressDup:
-        out << ", \"probability\": " << number_str(e.probability)
-            << ", \"duration_ms\": " << ms_str(e.duration_ns);
+        out.field("probability", e.probability);
         break;
       case FaultKind::kIngressDelay:
-        out << ", \"probability\": " << number_str(e.probability)
-            << ", \"delay_ms\": " << ms_str(e.delay_ns)
-            << ", \"duration_ms\": " << ms_str(e.duration_ns);
+        out.field("probability", e.probability)
+            .field("delay_ms", to_ms(e.delay_ns));
         break;
       case FaultKind::kPoolExhaust:
-        out << ", \"duration_ms\": " << ms_str(e.duration_ns);
         break;
     }
-    out << '}';
-  }
-  out << (sorted.empty() ? "]" : "\n  ]");
-  if (!notes.empty()) {
-    out << ",\n  \"observed\": [";
-    for (std::size_t i = 0; i < notes.size(); ++i) {
-      out << (i == 0 ? "\n" : ",\n") << "    {\"at_ms\": "
-          << ms_str(notes[i].at_ns) << ", \"note\": \""
-          << json_escape(notes[i].note) << "\"}";
+    // Every kind but the iface_down/iface_up edges is a window.
+    if (e.kind != FaultKind::kIfaceDown && e.kind != FaultKind::kIfaceUp) {
+      out.field("duration_ms", to_ms(e.duration_ns));
     }
-    out << "\n  ]";
+    out.end_object();
   }
-  out << "\n}\n";
-  return out.str();
+  out.end_array();
+  if (!notes.empty()) {
+    out.key("observed").begin_array();
+    for (const ObservedNote& n : notes) {
+      out.begin_object().field("at_ms", to_ms(n.at_ns))
+          .field("note", n.note).end_object();
+    }
+    out.end_array();
+  }
+  return out.end_object().str() + "\n";
 }
 
 void FaultPlan::write_file(const std::string& path) const {

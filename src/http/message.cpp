@@ -126,6 +126,23 @@ std::optional<ByteRange> HttpRequest::range() const {
   return ByteRange::parse_range_header(*value);
 }
 
+std::optional<std::string_view> HttpRequest::query(
+    std::string_view name) const {
+  const std::size_t question = target.find('?');
+  std::string_view rest = question == std::string::npos
+                              ? std::string_view{}
+                              : std::string_view(target).substr(question + 1);
+  while (!rest.empty()) {
+    const std::string_view param = rest.substr(0, rest.find('&'));
+    rest.remove_prefix(std::min(rest.size(), param.size() + 1));
+    const std::size_t eq = param.find('=');
+    if (eq != std::string_view::npos && param.substr(0, eq) == name) {
+      return param.substr(eq + 1);
+    }
+  }
+  return std::nullopt;
+}
+
 std::string HttpRequest::serialize() const {
   std::ostringstream out;
   out << method << ' ' << target << ' ' << version << "\r\n";

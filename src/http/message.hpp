@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -42,6 +43,9 @@ struct HttpRequest {
   void set_header(const std::string& name, const std::string& value);
   std::optional<std::string> header(const std::string& name) const;
   std::optional<ByteRange> range() const;
+  /// Value of the query parameter named exactly `name` in `target`
+  /// ("/adapt?a=1&name=v" -> "v"); nullopt when no parameter has that name.
+  std::optional<std::string_view> query(std::string_view name) const;
 
   /// Serializes to wire text (no body; GETs only).
   std::string serialize() const;

@@ -166,6 +166,7 @@ void HttpRangeProxy::sample() {
   for (auto& flow : flows_) {
     flow->series.add(sim_.now(), to_mbps(flow->goodput.rate_bps(sim_.now())));
   }
+  sim_.schedule_in(options_.sample_interval, [this] { sample(); });
 }
 
 void HttpRangeProxy::snapshot_clusters() {
@@ -199,6 +200,7 @@ void HttpRangeProxy::snapshot_clusters() {
   for (const auto& spec : iface_specs_) iface_names.push_back(spec.name);
   snap.rendering = fair::format_clusters(snap.analysis, flow_names, iface_names);
   cluster_log_.push_back(std::move(snap));
+  sim_.schedule_in(options_.cluster_interval, [this] { snapshot_clusters(); });
 }
 
 ProxyResult HttpRangeProxy::run(SimTime duration) {
@@ -207,20 +209,10 @@ ProxyResult HttpRangeProxy::run(SimTime duration) {
   }
   for (const auto& link : links_) link->notify_backlog();
 
-  auto sampler = std::make_shared<std::function<void()>>();
-  *sampler = [this, sampler] {
-    sample();
-    sim_.schedule_in(options_.sample_interval, *sampler);
-  };
-  sim_.schedule_in(options_.sample_interval, *sampler);
-
+  // Each sampler tick reschedules the next one.
+  sim_.schedule_in(options_.sample_interval, [this] { sample(); });
   if (options_.cluster_interval > 0) {
-    auto cluster_sampler = std::make_shared<std::function<void()>>();
-    *cluster_sampler = [this, cluster_sampler] {
-      snapshot_clusters();
-      sim_.schedule_in(options_.cluster_interval, *cluster_sampler);
-    };
-    sim_.schedule_in(options_.cluster_interval, *cluster_sampler);
+    sim_.schedule_in(options_.cluster_interval, [this] { snapshot_clusters(); });
   }
 
   sim_.run_until(duration);

@@ -148,6 +148,7 @@ void RemoteProxy::sample() {
     flow->series.add(sim_.now(),
                      to_mbps(flow->goodput.rate_bps(sim_.now())));
   }
+  sim_.schedule_in(options_.sample_interval, [this] { sample(); });
 }
 
 InboundResult RemoteProxy::run(SimTime duration) {
@@ -159,12 +160,8 @@ InboundResult RemoteProxy::run(SimTime duration) {
   }
   for (const auto& path : paths_) path->notify_backlog();
 
-  auto sampler = std::make_shared<std::function<void()>>();
-  *sampler = [this, sampler] {
-    sample();
-    sim_.schedule_in(options_.sample_interval, *sampler);
-  };
-  sim_.schedule_in(options_.sample_interval, *sampler);
+  // Each sampler tick reschedules the next one.
+  sim_.schedule_in(options_.sample_interval, [this] { sample(); });
 
   sim_.run_until(duration);
 

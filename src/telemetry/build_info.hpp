@@ -5,9 +5,8 @@
 // Prometheus convention for static metadata), and /buildinfo JSON.
 #pragma once
 
-#include <string>
-
 #include "telemetry/metrics.hpp"
+#include "util/json.hpp"
 
 namespace midrr::telemetry {
 
@@ -26,7 +25,8 @@ const BuildInfo& build_info();
 /// Registers the `midrr_rt_build_info` info-gauge (constant 1).
 void register_build_info(MetricsRegistry& registry);
 
-/// JSON object for the /buildinfo route.
-std::string build_info_json();
+/// Writes the build facts as members of the object `out` has open (the
+/// /buildinfo route adds the egress backend beside them).
+void write_build_info(JsonWriter& out);
 
 }  // namespace midrr::telemetry

@@ -1,10 +1,5 @@
 #include "telemetry/chrome_trace.hpp"
 
-#include <ostream>
-#include <sstream>
-
-#include "util/json_escape.hpp"
-
 namespace midrr::telemetry {
 
 namespace {
@@ -14,21 +9,27 @@ double us(SimTime ns) { return static_cast<double>(ns) / 1e3; }
 
 }  // namespace
 
+ChromeTraceBuilder::ChromeTraceBuilder() {
+  out_.begin_object().key("traceEvents").begin_array();
+}
+
+JsonWriter& ChromeTraceBuilder::event() {
+  ++events_;
+  return out_.begin_object();
+}
+
 void ChromeTraceBuilder::thread_name(std::uint32_t pid, std::uint32_t tid,
                                      const std::string& name) {
-  std::ostringstream e;
-  e << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << pid
-    << ",\"tid\":" << tid << ",\"args\":{\"name\":\"" << json_escape(name)
-    << "\"}}";
-  events_.push_back(e.str());
+  event().field("name", "thread_name").field("ph", "M").field("pid", pid)
+      .field("tid", tid).key("args").begin_object().field("name", name)
+      .end_object().end_object();
 }
 
 void ChromeTraceBuilder::set_process_name(std::uint32_t pid,
                                           const std::string& name) {
-  std::ostringstream e;
-  e << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-    << ",\"args\":{\"name\":\"" << json_escape(name) << "\"}}";
-  events_.push_back(e.str());
+  event().field("name", "process_name").field("ph", "M").field("pid", pid)
+      .key("args").begin_object().field("name", name).end_object()
+      .end_object();
 }
 
 void ChromeTraceBuilder::add_recorder(const TraceRecorder& recorder,
@@ -56,34 +57,33 @@ void ChromeTraceBuilder::add_recorder(const TraceRecorder& recorder,
         named[entry.iface] = true;
       }
     }
-    std::ostringstream e;
-    e << "{\"name\":\"" << to_string(entry.event) << " flow" << entry.flow
-      << "\",\"cat\":\"sched\",\"ph\":\"i\",\"s\":\"t\",\"ts\":"
-      << us(entry.at) << ",\"pid\":" << pid << ",\"tid\":" << tid
-      << ",\"args\":{\"flow\":" << entry.flow;
+    JsonWriter& e = event().field(
+        "name", std::string(to_string(entry.event)) + " flow" +
+                    std::to_string(entry.flow));
+    e.field("cat", "sched").field("ph", "i").field("s", "t")
+        .field("ts", us(entry.at)).field("pid", pid).field("tid", tid)
+        .key("args").begin_object().field("flow", entry.flow);
     if (entry.event == TraceRecorder::Event::kGrant) {
-      e << ",\"deficit_after\":" << entry.value;
+      e.field("deficit_after", entry.value);
     } else if (entry.event == TraceRecorder::Event::kSend) {
-      e << ",\"bytes\":" << entry.value;
+      e.field("bytes", entry.value);
     }
-    e << "}}";
-    events_.push_back(e.str());
+    e.end_object().end_object();
   }
   if (recorder.overflowed() > 0) {
     // The metadata record survives for tooling, but viewers do not render
     // "ph":"M" on the timeline -- a truncated capture used to look merely
     // sparse.  The global instant below puts a visible marker at the time
     // of the last retained event, where the missing history would end.
-    std::ostringstream meta;
-    meta << "{\"name\":\"trace_truncated\",\"ph\":\"M\",\"pid\":" << pid
-         << ",\"args\":{\"events_lost\":" << recorder.overflowed() << "}}";
-    events_.push_back(meta.str());
-    std::ostringstream e;
-    e << "{\"name\":\"trace_overflow\",\"cat\":\"sched\",\"ph\":\"i\","
-      << "\"s\":\"g\",\"ts\":" << us(last_at) << ",\"pid\":" << pid
-      << ",\"tid\":0,\"args\":{\"events_lost\":" << recorder.overflowed()
-      << "}}";
-    events_.push_back(e.str());
+    event().field("name", "trace_truncated").field("ph", "M")
+        .field("pid", pid).key("args").begin_object()
+        .field("events_lost", recorder.overflowed()).end_object()
+        .end_object();
+    event().field("name", "trace_overflow").field("cat", "sched")
+        .field("ph", "i").field("s", "g").field("ts", us(last_at))
+        .field("pid", pid).field("tid", 0).key("args").begin_object()
+        .field("events_lost", recorder.overflowed()).end_object()
+        .end_object();
   }
 }
 
@@ -96,57 +96,42 @@ void ChromeTraceBuilder::add_spans(const std::vector<TraceSpan>& spans,
       thread_name(pid, span.worker, "worker " + std::to_string(span.worker));
       named[span.worker] = true;
     }
-    std::ostringstream e;
+    const bool fan_in = span.kind == TraceSpan::Kind::kFanIn;
     const double dur = us(span.end_ns - span.begin_ns);
-    e << "{\"name\":\"";
-    if (span.kind == TraceSpan::Kind::kFanIn) {
-      e << "fan-in shard" << span.shard;
+    JsonWriter& e = event().field(
+        "name", fan_in ? "fan-in shard" + std::to_string(span.shard)
+                       : "drain if" + std::to_string(span.iface));
+    e.field("cat", "runtime").field("ph", "X").field("ts", us(span.begin_ns))
+        .field("dur", dur > 0 ? dur : 0.001).field("pid", pid)
+        .field("tid", span.worker).key("args").begin_object()
+        .field("packets", span.packets).field("bytes", span.bytes);
+    if (fan_in) {
+      e.field("shard", span.shard);
     } else {
-      e << "drain if" << span.iface;
+      e.field("iface", span.iface);
     }
-    e << "\",\"cat\":\"runtime\",\"ph\":\"X\",\"ts\":" << us(span.begin_ns)
-      << ",\"dur\":" << (dur > 0 ? dur : 0.001) << ",\"pid\":" << pid
-      << ",\"tid\":" << span.worker << ",\"args\":{\"packets\":"
-      << span.packets << ",\"bytes\":" << span.bytes;
-    if (span.kind == TraceSpan::Kind::kFanIn) {
-      e << ",\"shard\":" << span.shard;
-    } else {
-      e << ",\"iface\":" << span.iface;
-    }
-    e << "}}";
-    events_.push_back(e.str());
+    e.end_object().end_object();
   }
 }
 
 void ChromeTraceBuilder::add_counter(std::uint32_t pid, const std::string& name,
                                      SimTime at, double value) {
-  std::ostringstream e;
-  e << "{\"name\":\"" << json_escape(name) << "\",\"ph\":\"C\",\"ts\":"
-    << us(at) << ",\"pid\":" << pid << ",\"args\":{\"value\":" << value
-    << "}}";
-  events_.push_back(e.str());
+  event().field("name", name).field("ph", "C").field("ts", us(at))
+      .field("pid", pid).key("args").begin_object().field("value", value)
+      .end_object().end_object();
 }
 
 void ChromeTraceBuilder::add_instant(std::uint32_t pid, std::uint32_t tid,
                                      const std::string& name, SimTime at) {
-  std::ostringstream e;
-  e << "{\"name\":\"" << json_escape(name)
-    << "\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"p\",\"ts\":" << us(at)
-    << ",\"pid\":" << pid << ",\"tid\":" << tid << "}";
-  events_.push_back(e.str());
+  event().field("name", name).field("cat", "fault").field("ph", "i")
+      .field("s", "p").field("ts", us(at)).field("pid", pid)
+      .field("tid", tid).end_object();
 }
 
 std::string ChromeTraceBuilder::json() const {
-  std::string out = "{\"traceEvents\":[";
-  for (std::size_t i = 0; i < events_.size(); ++i) {
-    if (i != 0) out += ',';
-    out += '\n';
-    out += events_[i];
-  }
-  out += "\n],\"displayTimeUnit\":\"ms\"}\n";
-  return out;
+  JsonWriter doc = out_;
+  doc.end_array().field("displayTimeUnit", "ms").end_object();
+  return doc.str() + "\n";
 }
-
-void ChromeTraceBuilder::write(std::ostream& out) const { out << json(); }
 
 }  // namespace midrr::telemetry

@@ -15,12 +15,12 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "flow/ids.hpp"
 #include "sched/observer.hpp"
+#include "util/json.hpp"
 #include "util/time.hpp"
 
 namespace midrr::telemetry {
@@ -41,6 +41,8 @@ struct TraceSpan {
 
 class ChromeTraceBuilder {
  public:
+  ChromeTraceBuilder();
+
   /// Names the process row for a pid (emitted as metadata events).
   void set_process_name(std::uint32_t pid, const std::string& name);
 
@@ -62,17 +64,19 @@ class ChromeTraceBuilder {
   void add_instant(std::uint32_t pid, std::uint32_t tid,
                    const std::string& name, SimTime at);
 
-  std::size_t event_count() const { return events_.size(); }
+  std::size_t event_count() const { return events_; }
 
   /// The full {"traceEvents": [...]} document.
   std::string json() const;
-  void write(std::ostream& out) const;
 
  private:
+  /// Opens the next event object in the traceEvents array.
+  JsonWriter& event();
   void thread_name(std::uint32_t pid, std::uint32_t tid,
                    const std::string& name);
 
-  std::vector<std::string> events_;  ///< pre-rendered JSON objects
+  JsonWriter out_;  ///< the document, traceEvents array still open
+  std::size_t events_ = 0;
 };
 
 }  // namespace midrr::telemetry

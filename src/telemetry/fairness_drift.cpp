@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <sstream>
 
 #include "fairness/maxmin.hpp"
-#include "util/json_escape.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 
 namespace midrr::telemetry {
@@ -248,29 +247,25 @@ DriftReport FairnessDriftSampler::last() const {
 }
 
 std::string flows_json(const FairnessSample& sample, const DriftReport& drift) {
-  std::ostringstream out;
-  out << "{\"at_ns\":" << sample.at_ns << ",\"window_s\":" << drift.window_s
-      << ",\"jain\":" << (drift.valid ? drift.jain : 0.0) << ",\"flows\":[";
-  bool first = true;
+  JsonWriter out;
+  out.begin_object().field("at_ns", sample.at_ns)
+      .field("window_s", drift.window_s)
+      .field("jain", drift.valid ? drift.jain : 0.0).key("flows")
+      .begin_array();
   for (const FairnessFlowSample& flow : sample.flows) {
-    if (!first) out << ',';
-    first = false;
-    out << "{\"id\":" << flow.id << ",\"name\":\""
-        << json_escape(flow_label(flow))
-        << "\",\"weight\":" << flow.weight << ",\"members\":" << flow.members
-        << ",\"sent_bytes\":" << flow.sent_bytes;
+    out.begin_object().field("id", flow.id).field("name", flow_label(flow))
+        .field("weight", flow.weight).field("members", flow.members)
+        .field("sent_bytes", flow.sent_bytes);
     const auto it = std::find_if(
         drift.flows.begin(), drift.flows.end(),
         [&](const FlowDrift& d) { return d.id == flow.id; });
     if (drift.valid && it != drift.flows.end()) {
-      out << ",\"rate_bps\":" << it->actual_bps
-          << ",\"maxmin_bps\":" << it->maxmin_bps
-          << ",\"ratio\":" << it->ratio;
+      out.field("rate_bps", it->actual_bps)
+          .field("maxmin_bps", it->maxmin_bps).field("ratio", it->ratio);
     }
-    out << '}';
+    out.end_object();
   }
-  out << "]}";
-  return out.str();
+  return out.end_array().end_object().str();
 }
 
 }  // namespace midrr::telemetry

@@ -7,9 +7,8 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
-#include "util/json_escape.hpp"
+#include "util/json.hpp"
 
 namespace midrr::telemetry {
 
@@ -107,25 +106,19 @@ std::vector<FlightEvent> FlightRecorder::snapshot() const {
 std::string FlightRecorder::dump_json(const std::string& reason,
                                       std::uint64_t now_ns) const {
   const std::vector<FlightEvent> events = snapshot();
-  std::ostringstream out;
-  out << "{\"reason\":\"" << json_escape(reason)
-      << "\",\"dumped_at_ns\":" << now_ns
-      << ",\"writers\":[";
-  for (std::size_t i = 0; i < logs_.size(); ++i) {
-    if (i != 0) out << ',';
-    out << '"' << json_escape(logs_[i]->name()) << '"';
+  JsonWriter out;
+  out.begin_object().field("reason", reason).field("dumped_at_ns", now_ns)
+      .key("writers").begin_array();
+  for (const auto& log : logs_) out.value(log->name());
+  out.end_array().key("events").begin_array();
+  for (const FlightEvent& e : events) {
+    out.begin_object().field("t_ns", e.t_ns)
+        .field("writer", logs_[e.writer]->name())
+        .field("category", to_string(e.category))
+        .field("code", to_string(e.code)).field("a", e.a).field("b", e.b)
+        .end_object();
   }
-  out << "],\"events\":[";
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const FlightEvent& e = events[i];
-    if (i != 0) out << ',';
-    out << "\n{\"t_ns\":" << e.t_ns << ",\"writer\":\""
-        << json_escape(logs_[e.writer]->name()) << "\",\"category\":\""
-        << to_string(e.category) << "\",\"code\":\"" << to_string(e.code)
-        << "\",\"a\":" << e.a << ",\"b\":" << e.b << "}";
-  }
-  out << "\n]}\n";
-  return out.str();
+  return out.end_array().end_object().str() + "\n";
 }
 
 bool FlightRecorder::dump_to_file(const std::string& path,

@@ -1,10 +1,9 @@
 #include "telemetry/slo.hpp"
 
-#include <cstdlib>
-#include <sstream>
+#include <optional>
 
 #include "util/assert.hpp"
-#include "util/json_escape.hpp"
+#include "util/json.hpp"
 
 namespace midrr::telemetry {
 
@@ -18,14 +17,11 @@ bool parse_slo_spec(const std::string& text, SloSpec* out) {
   const std::size_t name_begin = 6;  // strlen("class=")
   if (target_at <= name_begin) return false;  // empty class name
   const std::string name = text.substr(name_begin, target_at - name_begin);
-  const std::string ms_text = text.substr(target_at + 8);  // ":p99_ms="
-  if (ms_text.empty()) return false;
-  char* end = nullptr;
-  const double ms = std::strtod(ms_text.c_str(), &end);
-  if (end == nullptr || *end != '\0' || !(ms > 0.0)) return false;
+  const std::optional<SimDuration> target =
+      parse_ms(std::string_view(text).substr(target_at + 8));  // ":p99_ms="
+  if (!target || *target <= 0) return false;
   out->class_name = name;
-  out->p99_target_ns =
-      static_cast<std::uint64_t>(ms * static_cast<double>(kMillisecond));
+  out->p99_target_ns = static_cast<std::uint64_t>(*target);
   return true;
 }
 
@@ -152,22 +148,25 @@ void SloEngine::register_metrics(MetricsRegistry& registry,
   }
 }
 
-std::string SloEngine::json(std::uint64_t now_ns) const {
-  std::ostringstream out;
-  out << "{\"error_budget\":" << options_.error_budget
-      << ",\"bucket_ns\":" << options_.bucket_ns << ",\"window_short_buckets\":"
-      << options_.short_window_buckets
-      << ",\"window_long_buckets\":" << options_.long_window_buckets
-      << ",\"slos\":[";
+void SloEngine::write_json(JsonWriter& out, std::uint64_t now_ns) const {
+  out.begin_object().field("error_budget", options_.error_budget)
+      .field("bucket_ns", options_.bucket_ns)
+      .field("window_short_buckets", options_.short_window_buckets)
+      .field("window_long_buckets", options_.long_window_buckets)
+      .key("slos").begin_array();
   for (std::size_t i = 0; i < specs_.size(); ++i) {
-    if (i != 0) out << ',';
-    out << "\n{\"class\":\"" << json_escape(specs_[i].class_name)
-        << "\",\"p99_target_ns\":" << specs_[i].p99_target_ns
-        << ",\"samples\":" << samples(i) << ",\"violations\":" << violations(i)
-        << ",\"burn_short\":" << short_burn(i, now_ns)
-        << ",\"burn_long\":" << long_burn(i, now_ns) << "}";
+    out.begin_object().field("class", specs_[i].class_name)
+        .field("p99_target_ns", specs_[i].p99_target_ns)
+        .field("samples", samples(i)).field("violations", violations(i))
+        .field("burn_short", short_burn(i, now_ns))
+        .field("burn_long", long_burn(i, now_ns)).end_object();
   }
-  out << "\n]}";
+  out.end_array().end_object();
+}
+
+std::string SloEngine::json(std::uint64_t now_ns) const {
+  JsonWriter out;
+  write_json(out, now_ns);
   return out.str();
 }
 

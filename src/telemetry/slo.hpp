@@ -29,6 +29,7 @@
 
 #include "flow/ids.hpp"
 #include "telemetry/metrics.hpp"
+#include "util/json.hpp"
 #include "util/time.hpp"
 
 namespace midrr::telemetry {
@@ -39,8 +40,9 @@ struct SloSpec {
   std::uint64_t p99_target_ns = 0;
 };
 
-/// Parses "class=NAME:p99_ms=X" (X a positive decimal, milliseconds).
-/// Returns false (out untouched) on malformed input.
+/// Parses "class=NAME:p99_ms=X" (X a positive millisecond count, at most
+/// 1e9, that parse_ms accepts).  Returns false (out untouched) on malformed
+/// or out-of-range input.
 bool parse_slo_spec(const std::string& text, SloSpec* out);
 
 class SloEngine {
@@ -99,9 +101,10 @@ class SloEngine {
   void register_metrics(MetricsRegistry& registry,
                         std::function<std::uint64_t()> now_fn);
 
-  /// {"slos": [...]} for the /slo route: per objective, the target, the
-  /// lifetime sample/violation totals, and both window burn rates at
-  /// `now_ns`.
+  /// {"slos": [...]} for the /slo route and the midrr_rt report: per
+  /// objective, the target, the lifetime sample/violation totals, and both
+  /// window burn rates at `now_ns`.
+  void write_json(JsonWriter& out, std::uint64_t now_ns) const;
   std::string json(std::uint64_t now_ns) const;
 
  private:

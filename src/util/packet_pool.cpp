@@ -161,4 +161,13 @@ PacketPoolStats PacketPool::stats() const {
   return s;
 }
 
+void write_json(JsonWriter& out, const PacketPoolStats& stats) {
+  out.begin_object().field("slabs", stats.slabs)
+      .field("capacity_slots", stats.capacity_slots)
+      .field("acquired", stats.acquired).field("released", stats.released)
+      .field("outstanding", stats.outstanding).field("misses", stats.misses)
+      .field("cross_thread_returns", stats.cross_thread_returns)
+      .field("overflow_returns", stats.overflow_returns).end_object();
+}
+
 }  // namespace midrr

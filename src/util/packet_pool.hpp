@@ -33,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/json.hpp"
 #include "util/mpsc_ring.hpp"
 
 namespace midrr {
@@ -81,6 +82,10 @@ struct PacketPoolStats {
   std::uint64_t free_local = 0;       ///< owner freelist occupancy (approx)
   std::uint64_t in_return_ring = 0;   ///< return ring occupancy (approx)
 };
+
+/// The "pool" report block (midrr_rt --json, BENCH_rt.json): the
+/// monotonic counters and capacity; the approximate occupancy stays out.
+void write_json(JsonWriter& out, const PacketPoolStats& stats);
 
 class PacketPool {
  public:

@@ -7,10 +7,14 @@
 // to the next nanosecond, so a link can never send faster than its rate.
 #pragma once
 
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <string_view>
+#include <system_error>
 
 #include "util/assert.hpp"
 
@@ -38,6 +42,25 @@ constexpr SimDuration from_seconds(double seconds) {
 /// Converts nanoseconds to fractional seconds (for reporting only).
 constexpr double to_seconds(SimDuration d) {
   return static_cast<double>(d) / static_cast<double>(kSecond);
+}
+
+/// `ms` milliseconds as nanoseconds (rounded), or nullopt unless finite
+/// and in [0, 1e9] (about 11.6 days; every such count is below 2^51 ns and
+/// round-trips exactly through a double).  The one path for millisecond
+/// inputs -- fault plans, CLI flags, /adapt, --slo -- because casting an
+/// out-of-range double to an integer is undefined behaviour.
+inline std::optional<SimDuration> checked_ms_to_ns(double ms) {
+  if (!(ms >= 0.0 && ms <= 1e9)) return std::nullopt;  // NaN fails too
+  return static_cast<SimDuration>(ms * 1e6 + 0.5);
+}
+
+/// checked_ms_to_ns of a whole token ("0.25", "1e3"); nullopt on "5abc".
+inline std::optional<SimDuration> parse_ms(std::string_view text) {
+  double ms = 0.0;
+  const char* end = text.data() + text.size();
+  const std::from_chars_result res = std::from_chars(text.data(), end, ms);
+  if (res.ec != std::errc{} || res.ptr != end) return std::nullopt;
+  return checked_ms_to_ns(ms);
 }
 
 /// Duration needed to transmit `bytes` at `rate_bps` bits per second,

@@ -2,18 +2,26 @@
 // hang or read out of bounds on arbitrary byte soup -- they either parse,
 // return nullopt, or throw BufferOverrun.  (Deterministic seeds; thousands
 // of inputs per shape.)  FaultPlan JSON additionally has a canonical form:
-// whatever parses must serialize to a parse/serialize fixpoint.
+// whatever parses must serialize to a parse/serialize fixpoint, and any
+// document the JSON writer prints must parse back to the values written.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/scenario_text.hpp"
 #include "fault/fault_plan.hpp"
 #include "http/message.hpp"
+#include "io/wire.hpp"
 #include "net/packet.hpp"
 #include "net/pcap.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace midrr {
@@ -224,6 +232,193 @@ TEST(FuzzParse, FaultPlanJsonParsesOrThrowsAndReachesItsFixpoint) {
   // Nesting is bounded, not a stack overflow.
   EXPECT_THROW(fault::FaultPlan::parse_json(std::string(1'000'000, '[')),
                std::exception);
+}
+
+// A random JSON document kept as a tree of its own, so what the writer
+// printed can be compared with what the reader parses back.
+struct Doc {
+  JsonValue::Kind kind = JsonValue::Kind::kNull;
+  bool flag = false;
+  double number = 0.0;
+  std::string text;
+  std::vector<std::pair<std::string, Doc>> members;  ///< kObject, unique keys
+  std::vector<Doc> items;                            ///< kArray
+};
+
+std::string random_string(Rng& rng) {
+  // Quotes, backslashes, control bytes and UTF-8 bytes are the escaping
+  // cases; the rest is printable ASCII.
+  static constexpr char kSpecial[] = "\"\\\n\t\r\x01\x1f\xc3\xa9";
+  std::string s(static_cast<std::size_t>(rng.uniform_int(0, 12)), ' ');
+  for (char& c : s) {
+    const auto special = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(sizeof kSpecial) - 2));
+    c = rng.coin(0.3) ? kSpecial[special]
+                      : static_cast<char>(rng.uniform_int(0x20, 0x7e));
+  }
+  return s;
+}
+
+double random_finite(Rng& rng) {
+  switch (rng.uniform_int(0, 3)) {
+    case 0:
+      return static_cast<double>(
+          rng.uniform_int(-(std::int64_t{1} << 53), std::int64_t{1} << 53));
+    case 1: return rng.uniform(-1e6, 1e6);
+    case 2:
+      return rng.uniform(-1.0, 1.0) *
+             std::pow(10.0, static_cast<double>(rng.uniform_int(-300, 300)));
+    default: {
+      // Any finite bit pattern, subnormals included.
+      double v = 0.0;
+      do {
+        const std::uint64_t bits = rng.engine()();
+        std::memcpy(&v, &bits, sizeof v);
+      } while (!std::isfinite(v));
+      return v;
+    }
+  }
+}
+
+Doc random_doc(Rng& rng, int depth) {
+  Doc d;
+  switch (rng.uniform_int(0, depth >= 4 ? 3 : 5)) {
+    case 0: break;
+    case 1:
+      d.kind = JsonValue::Kind::kBool;
+      d.flag = rng.coin(0.5);
+      break;
+    case 2:
+      d.kind = JsonValue::Kind::kNumber;
+      d.number = random_finite(rng);
+      break;
+    case 3:
+      d.kind = JsonValue::Kind::kString;
+      d.text = random_string(rng);
+      break;
+    case 4:
+      d.kind = JsonValue::Kind::kArray;
+      for (std::int64_t n = rng.uniform_int(0, 4); n > 0; --n) {
+        d.items.push_back(random_doc(rng, depth + 1));
+      }
+      break;
+    default:
+      d.kind = JsonValue::Kind::kObject;
+      for (std::int64_t n = rng.uniform_int(0, 4); n > 0; --n) {
+        d.members.emplace_back(random_string(rng) + "#" + std::to_string(n),
+                               random_doc(rng, depth + 1));
+      }
+  }
+  return d;
+}
+
+void write_doc(JsonWriter& w, const Doc& d) {
+  switch (d.kind) {
+    case JsonValue::Kind::kNull: w.null(); break;
+    case JsonValue::Kind::kBool: w.value(d.flag); break;
+    case JsonValue::Kind::kNumber: w.value(d.number); break;
+    case JsonValue::Kind::kString: w.value(d.text); break;
+    case JsonValue::Kind::kArray:
+      w.begin_array();
+      for (const Doc& item : d.items) write_doc(w, item);
+      w.end_array();
+      break;
+    case JsonValue::Kind::kObject:
+      w.begin_object();
+      for (const auto& [key, member] : d.members) {
+        w.key(key);
+        write_doc(w, member);
+      }
+      w.end_object();
+      break;
+  }
+}
+
+void expect_same(const Doc& d, const JsonValue& v) {
+  ASSERT_EQ(v.kind(), d.kind);
+  switch (d.kind) {
+    case JsonValue::Kind::kNull: break;
+    case JsonValue::Kind::kBool: EXPECT_EQ(v.as_bool(), d.flag); break;
+    case JsonValue::Kind::kNumber: EXPECT_EQ(v.as_number(), d.number); break;
+    case JsonValue::Kind::kString: EXPECT_EQ(v.as_string(), d.text); break;
+    case JsonValue::Kind::kArray:
+      ASSERT_EQ(v.as_array().size(), d.items.size());
+      for (std::size_t i = 0; i < d.items.size(); ++i) {
+        expect_same(d.items[i], v.as_array()[i]);
+      }
+      break;
+    case JsonValue::Kind::kObject:
+      ASSERT_EQ(v.keys().size(), d.members.size());
+      for (const auto& [key, member] : d.members) {
+        const JsonValue* got = v.find(key);
+        ASSERT_NE(got, nullptr) << key;
+        expect_same(member, *got);
+      }
+      break;
+  }
+}
+
+TEST(FuzzParse, JsonWriterOutputParsesBackToTheSameValues) {
+  Rng rng(0x150);
+  for (int trial = 0; trial < 2'000; ++trial) {
+    const Doc doc = random_doc(rng, 0);
+    JsonWriter w;
+    write_doc(w, doc);
+    try {
+      expect_same(doc, JsonValue::parse(w.str()));
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "writer output does not parse: " << e.what() << "\n"
+                    << w.str();
+    }
+    if (HasFailure()) break;  // one readable counterexample, not thousands
+  }
+}
+
+TEST(FuzzParse, WireHeaderDecodesOrRejectsAndReencodesItsBytes) {
+  Rng rng(0x31AE);
+  int decoded = 0;
+  for (int trial = 0; trial < 20'000; ++trial) {
+    net::ByteBuffer buf;
+    if (rng.coin(0.3)) {
+      buf = random_bytes(rng, 48);
+    } else {
+      // A valid header, with or without the timestamp trailer, then
+      // truncated or with a few bits flipped.
+      io::WireHeader h;
+      h.flags = rng.coin(0.5) ? io::WireHeader::kFlagTxTimestamp : 0;
+      h.payload_bytes = static_cast<std::uint16_t>(rng.uniform_int(0, 65535));
+      h.flow = static_cast<FlowId>(rng.uniform_int(0, 1'000'000));
+      h.seq = rng.engine()();
+      h.size_bytes = static_cast<std::uint32_t>(rng.uniform_int(0, 9000));
+      h.tx_timestamp_ns = rng.engine()();
+      buf.resize(h.wire_size() +
+                 static_cast<std::size_t>(rng.uniform_int(0, 8)));
+      net::BufWriter writer(buf);
+      h.encode(writer);
+      if (rng.coin(0.3)) {
+        buf.resize(static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(buf.size()))));
+      } else {
+        for (std::int64_t f = rng.uniform_int(0, 3); f > 0; --f) {
+          const auto at = static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(buf.size()) - 1));
+          buf[at] = static_cast<net::Byte>(buf[at] ^
+                                           (1u << rng.uniform_int(0, 7)));
+        }
+      }
+    }
+    std::optional<io::WireHeader> header;
+    ASSERT_NO_THROW(header = io::WireHeader::decode(buf));
+    if (!header) continue;
+    ++decoded;
+    ASSERT_LE(header->wire_size(), buf.size());
+    net::ByteBuffer again(header->wire_size());
+    net::BufWriter writer(again);
+    header->encode(writer);
+    EXPECT_TRUE(std::equal(again.begin(), again.end(), buf.begin()))
+        << "trial " << trial;
+  }
+  EXPECT_GT(decoded, 5'000) << "too few buffers decoded to test re-encoding";
 }
 
 }  // namespace

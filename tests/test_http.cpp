@@ -59,6 +59,18 @@ TEST(HttpRequest, HeaderUpsertReplaces) {
   EXPECT_EQ(req.headers.size(), 1u);
 }
 
+TEST(HttpRequest, QueryMatchesWholeParameterNames) {
+  HttpRequest req;
+  req.target = "/adapt?x=1&target_p99_ms=5abc&y";
+  EXPECT_EQ(req.query("target_p99_ms"), "5abc");
+  EXPECT_EQ(req.query("x"), "1");
+  EXPECT_FALSE(req.query("y").has_value());  // no '=': not a parameter
+  req.target = "/adapt?xtarget_p99_ms=5&target_p99=7";
+  EXPECT_FALSE(req.query("target_p99_ms").has_value());
+  req.target = "/adapt";
+  EXPECT_FALSE(req.query("target_p99_ms").has_value());
+}
+
 TEST(HttpResponse, PartialContentRoundTrip) {
   const auto res = HttpResponse::partial(ByteRange{65536, 131071}, 1 << 20);
   const auto parsed = HttpResponse::parse_head(res.serialize_head());

@@ -40,6 +40,8 @@ TEST(SloSpec, RejectsMalformedSpecs) {
       "class=video:p99_ms=0",    // must be positive
       "class=video:p99_ms=-2",
       "class=video:p99_ms=5ms",  // trailing junk
+      "class=video:p99_ms=1e300",  // beyond the 1e9 ms input bound
+      "class=video:p99_ms=inf",
   };
   for (const char* text : bad) {
     EXPECT_FALSE(midrr::telemetry::parse_slo_spec(text, &spec)) << text;

@@ -18,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "fault/json.hpp"
 #include "runtime/load_generator.hpp"
 #include "runtime/rcu.hpp"
 #include "runtime/runtime.hpp"
@@ -31,6 +30,7 @@
 #include "telemetry/prometheus.hpp"
 #include "telemetry/promlint.hpp"
 #include "telemetry/slo.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 
 namespace midrr::telemetry {
@@ -317,6 +317,25 @@ TEST(ChromeTrace, OverflowEmitsVisibleInstantAtLastRetainedEvent) {
   ChromeTraceBuilder clean;
   clean.add_recorder(roomy, 1);
   EXPECT_EQ(clean.json().find("trace_overflow"), std::string::npos);
+}
+
+// Sub-microsecond precision holds at any run length: a span that begins
+// 2.5 s into the run keeps its nanoseconds, so consecutive spans on one
+// worker track never appear to overlap.
+TEST(ChromeTrace, TimestampsKeepNanosecondPrecision) {
+  std::vector<TraceSpan> spans(1);
+  spans[0].begin_ns = 2'500'000'123;
+  spans[0].end_ns = 2'500'001'123;
+  ChromeTraceBuilder builder;
+  builder.add_spans(spans, 1);
+  const JsonValue doc = JsonValue::parse(builder.json());
+  const JsonValue* span = nullptr;
+  for (const JsonValue& event : doc.find("traceEvents")->as_array()) {
+    if (event.find("ph")->as_string() == "X") span = &event;
+  }
+  ASSERT_NE(span, nullptr);
+  EXPECT_EQ(span->find("ts")->as_number(), 2500000.123);
+  EXPECT_EQ(span->find("dur")->as_number(), 1.0);
 }
 
 // --- TelemetryServer ------------------------------------------------------
@@ -726,19 +745,17 @@ TEST(TelemetryJson, CallerChosenNamesStayValidJson) {
   flow.id = 0;
   flow.name = name;
   sample.flows.push_back(flow);
-  const fault::JsonValue flows =
-      fault::JsonValue::parse(flows_json(sample, DriftReport{}));
+  const JsonValue flows = JsonValue::parse(flows_json(sample, DriftReport{}));
   EXPECT_EQ(flows.find("flows")->as_array()[0].find("name")->as_string(), name);
 
   SloEngine slo({SloSpec{name, 5'000'000}}, 4);
-  const fault::JsonValue slos = fault::JsonValue::parse(slo.json(0));
+  const JsonValue slos = JsonValue::parse(slo.json(0));
   EXPECT_EQ(slos.find("slos")->as_array()[0].find("class")->as_string(), name);
 
   FlightRecorder flight;
   flight.add_writer(name).log(1, FlightCategory::kHealth,
                               FlightCode::kHealthDegraded);
-  const fault::JsonValue dump =
-      fault::JsonValue::parse(flight.dump_json(name, 2));
+  const JsonValue dump = JsonValue::parse(flight.dump_json(name, 2));
   EXPECT_EQ(dump.find("reason")->as_string(), name);
   EXPECT_EQ(dump.find("writers")->as_array()[0].as_string(), name);
   EXPECT_EQ(dump.find("events")->as_array()[0].find("writer")->as_string(),

@@ -1,14 +1,17 @@
-// Unit tests for the measurement substrate (stats, time, rng, csv).
+// Unit tests for the measurement substrate (stats, time, rng, csv, json).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "util/csv.hpp"
+#include "util/json.hpp"
 #include "util/latency_histogram.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -34,6 +37,19 @@ TEST(Time, TransmissionTimeRoundsUp) {
 TEST(Time, RateBps) {
   EXPECT_DOUBLE_EQ(rate_bps(1000, 8 * kMillisecond), 1e6);
   EXPECT_DOUBLE_EQ(to_mbps(mbps(3.5)), 3.5);
+}
+
+TEST(Time, ParseMsTakesWholeFiniteTokensInRange) {
+  for (const char* bad : {"1e300", "inf", "nan", "-1", "5abc", "", "1e9.5",
+                          "1000000000.5", " 5"}) {
+    EXPECT_FALSE(parse_ms(bad).has_value()) << bad;
+  }
+  EXPECT_EQ(parse_ms("0"), 0);
+  EXPECT_EQ(parse_ms("0.25"), 250 * kMicrosecond);
+  EXPECT_EQ(parse_ms("1e9"), 1'000'000'000 * kMillisecond);
+  EXPECT_FALSE(checked_ms_to_ns(std::nan("")).has_value());
+  EXPECT_FALSE(checked_ms_to_ns(-0.5).has_value());
+  EXPECT_EQ(checked_ms_to_ns(1.5), 1'500'000);
 }
 
 TEST(OnlineStats, Moments) {
@@ -268,6 +284,116 @@ TEST(LatencyHistogram, BucketBoundsBracketEveryValue) {
     EXPECT_LE(LatencyHistogram::lower_bound(i), static_cast<double>(v));
     EXPECT_GE(LatencyHistogram::upper_bound(i), static_cast<double>(v));
   }
+}
+
+// --- JSON -------------------------------------------------------------------
+
+TEST(JsonWriter, EscapesQuoteBackslashAndControlBytes) {
+  JsonWriter w;
+  const std::string text = "q\"b\\n\nt\tr\rc\x01\x1f\x7f\xc3\xa9";
+  w.value(text);
+  EXPECT_EQ(w.str(), "\"q\\\"b\\\\n\\nt\\tr\\rc\\u0001\\u001f\x7f\xc3\xa9\"");
+  EXPECT_EQ(JsonValue::parse(w.str()).as_string(), text);
+}
+
+TEST(JsonWriter, PlacesCommasAndPutsArrayObjectsOnTheirOwnLines) {
+  JsonWriter w;
+  w.begin_object()
+      .field("a", 1)
+      .key("list")
+      .begin_array()
+      .value("x")
+      .begin_object()
+      .field("b", true)
+      .key("inner")
+      .begin_array()
+      .value(2)
+      .value(3)
+      .end_array()
+      .end_object()
+      .begin_object()
+      .end_object()
+      .end_array()
+      .key("empty")
+      .begin_array()
+      .end_array()
+      .key("o")
+      .begin_object()
+      .field("n", false)
+      .key("z")
+      .null()
+      .end_object()
+      .end_object();
+  EXPECT_EQ(w.str(),
+            "{\"a\":1,\"list\":[\"x\",\n{\"b\":true,\"inner\":[2,3]},\n{}\n],"
+            "\"empty\":[],\"o\":{\"n\":false,\"z\":null}}");
+  EXPECT_NO_THROW(JsonValue::parse(w.str()));
+  // Misuse is a bug in the caller, caught rather than rendered.
+  JsonWriter bad;
+  bad.begin_object();
+  EXPECT_THROW(bad.value(1), InvariantError);
+  EXPECT_THROW(JsonWriter().end_array(), InvariantError);
+}
+
+TEST(JsonWriter, PrintsIntegersExactly) {
+  JsonWriter w;
+  w.begin_array()
+      .value(std::numeric_limits<std::uint64_t>::max())
+      .value(std::numeric_limits<std::int64_t>::min())
+      .value(0u)
+      .value(-7)
+      .end_array();
+  EXPECT_EQ(w.str(), "[18446744073709551615,-9223372036854775808,0,-7]");
+}
+
+TEST(JsonWriter, PrintsDoublesInShortestRoundTripForm) {
+  const auto render = [](double v) {
+    JsonWriter w;
+    w.value(v);
+    return w.str();
+  };
+  EXPECT_EQ(render(2500000.123), "2500000.123");
+  EXPECT_EQ(render(1e-7), "1e-07");
+  EXPECT_EQ(render(0.1), "0.1");
+  EXPECT_EQ(render(-2.5), "-2.5");
+  EXPECT_EQ(render(100000.0), "100000");  // integral: no exponent
+  EXPECT_EQ(render(1e300), "1e+300");
+  EXPECT_EQ(render(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(render(std::nan("")), "null");
+  for (const double v : {2500000.123, 1e-7, 0.1, 1.0 / 3.0, 6.02214076e23,
+                         std::numeric_limits<double>::denorm_min(),
+                         std::numeric_limits<double>::max()}) {
+    EXPECT_EQ(JsonValue::parse(render(v)).as_number(), v) << render(v);
+  }
+}
+
+TEST(FaultJson, ParsesNestedDocument) {
+  const JsonValue doc = JsonValue::parse(
+      R"({"a": [1, 2.5, -3e2], "b": {"s": "hi\n\"x\""}, "t": true, "n": null})");
+  ASSERT_TRUE(doc.is_object());
+  const JsonValue* a = doc.find("a");
+  ASSERT_NE(a, nullptr);
+  ASSERT_TRUE(a->is_array());
+  ASSERT_EQ(a->as_array().size(), 3u);
+  EXPECT_DOUBLE_EQ(a->as_array()[1].as_number(), 2.5);
+  EXPECT_DOUBLE_EQ(a->as_array()[2].as_number(), -300.0);
+  const JsonValue* s = doc.find("b")->find("s");
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->as_string(), "hi\n\"x\"");
+  EXPECT_TRUE(doc.find("t")->as_bool());
+  EXPECT_TRUE(doc.find("n")->is_null());
+  EXPECT_EQ(doc.find("missing"), nullptr);
+}
+
+TEST(FaultJson, RejectsMalformedInput) {
+  EXPECT_THROW(JsonValue::parse("{\"a\": }"), JsonError);
+  EXPECT_THROW(JsonValue::parse("{\"a\": 1} trailing"), JsonError);
+  EXPECT_THROW(JsonValue::parse("[1, 2,"), JsonError);
+  EXPECT_THROW(JsonValue::parse(""), JsonError);
+  // Kind mismatches surface as runtime_error for schema-level reporting.
+  const JsonValue doc = JsonValue::parse(R"({"a": 1})");
+  EXPECT_THROW(doc.find("a")->as_string(), std::runtime_error);
+  EXPECT_THROW((void)doc.as_array(), std::runtime_error);
 }
 
 // --- LogRateLimiter ---------------------------------------------------------

@@ -9,12 +9,12 @@
 // percentiles.  With `--json` the report is a single JSON object on
 // stdout (what bench/rt_throughput collects into BENCH_rt.json).
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -40,7 +40,8 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/slo.hpp"
 #include "telemetry/stage_latency.hpp"
-#include "util/json_escape.hpp"
+#include "util/json.hpp"
+#include "util/time.hpp"
 
 namespace {
 
@@ -149,7 +150,7 @@ int main(int argc, char** argv) {
   bool supervise = false;
   std::uint64_t backpressure_bytes = 0;
   std::uint64_t shed_bytes = 0;
-  double shed_target_p99_ms = 0.0;  // 0 = static watermark
+  SimDuration shed_target_p99_ns = 0;  // 0 = static watermark
   std::string record_faults_file;
   std::string egress_name = "sim";
   std::vector<std::string> udp_dests;
@@ -160,7 +161,7 @@ int main(int argc, char** argv) {
   int telemetry_port = -1;  // < 0 = no HTTP endpoint
   std::string trace_out;
   std::uint32_t stage_sample = 0;
-  std::vector<std::string> slo_texts;
+  std::vector<telemetry::SloSpec> slo_specs;
   std::string flight_dump;
 
   try {
@@ -197,8 +198,16 @@ int main(int argc, char** argv) {
       else if (key == "--backpressure-bytes")
         backpressure_bytes = std::stoull(value());
       else if (key == "--shed-bytes") shed_bytes = std::stoull(value());
-      else if (key == "--shed-target-p99-ms")
-        shed_target_p99_ms = std::stod(value());
+      else if (key == "--shed-target-p99-ms") {
+        const std::string text = value();
+        const std::optional<SimDuration> target = parse_ms(text);
+        if (!target) {
+          throw std::runtime_error(
+              "bad --shed-target-p99-ms (want milliseconds in [0, 1e9]): " +
+              text);
+        }
+        shed_target_p99_ns = *target;
+      }
       else if (key == "--record-faults") record_faults_file = value();
       else if (key == "--egress") egress_name = value();
       else if (key == "--udp-dest") udp_dests.push_back(value());
@@ -211,7 +220,15 @@ int main(int argc, char** argv) {
       else if (key == "--trace-out") trace_out = value();
       else if (key == "--stage-sample")
         stage_sample = static_cast<std::uint32_t>(std::stoul(value()));
-      else if (key == "--slo") slo_texts.push_back(value());
+      else if (key == "--slo") {
+        const std::string text = value();
+        telemetry::SloSpec spec;
+        if (!telemetry::parse_slo_spec(text, &spec)) {
+          throw std::runtime_error(
+              "bad --slo (want class=NAME:p99_ms=X, X in (0, 1e9]): " + text);
+        }
+        slo_specs.push_back(std::move(spec));
+      }
       else if (key == "--flight-dump") flight_dump = value();
       else return usage();
     }
@@ -220,9 +237,9 @@ int main(int argc, char** argv) {
     // Burn rates consume the tracer's sampled e2e latencies; an SLO with
     // no tracer would sit silently at 0 forever.  Same for the adaptive
     // shedding loop's windowed p99.
-    if (!slo_texts.empty() && stage_sample == 0) stage_sample = 64;
-    if (shed_target_p99_ms > 0.0 && stage_sample == 0) stage_sample = 64;
-    if (shed_target_p99_ms > 0.0 && !supervise) {
+    if (!slo_specs.empty() && stage_sample == 0) stage_sample = 64;
+    if (shed_target_p99_ns > 0 && stage_sample == 0) stage_sample = 64;
+    if (shed_target_p99_ns > 0 && !supervise) {
       throw std::runtime_error("--shed-target-p99-ms needs --supervise "
                                "(the loop runs off the probe cadence)");
     }
@@ -279,17 +296,8 @@ int main(int argc, char** argv) {
     // is registered here, before start() -- the runtime adds its worker
     // lanes inside start(), and nothing may add one after.
     std::unique_ptr<telemetry::SloEngine> slo;
-    if (!slo_texts.empty()) {
-      std::vector<telemetry::SloSpec> specs;
-      for (const std::string& text : slo_texts) {
-        telemetry::SloSpec spec;
-        if (!telemetry::parse_slo_spec(text, &spec)) {
-          throw std::runtime_error(
-              "bad --slo (want class=NAME:p99_ms=X): " + text);
-        }
-        specs.push_back(std::move(spec));
-      }
-      slo = std::make_unique<telemetry::SloEngine>(std::move(specs),
+    if (!slo_specs.empty()) {
+      slo = std::make_unique<telemetry::SloEngine>(std::move(slo_specs),
                                                    options.max_flows);
       options.slo = slo.get();
     }
@@ -448,8 +456,7 @@ int main(int argc, char** argv) {
       // measured drain rates into the controller, which re-lowers the
       // capacities fairness sampling sees and retunes the shed watermark.
       fault::AdaptOptions aopts;
-      aopts.target_p99_ns = static_cast<SimDuration>(
-          shed_target_p99_ms * 1e6 + 0.5);
+      aopts.target_p99_ns = shed_target_p99_ns;
       adapt = std::make_unique<fault::AdaptiveController>(runtime, aopts);
       runtime.set_capacity_overlay(adapt.get());
       supervisor->set_adaptive(adapt.get());
@@ -563,33 +570,24 @@ int main(int argc, char** argv) {
         r.content_type = "application/json";
         auto reader = control->reader();
         const auto guard = reader.lock();
-        std::ostringstream body;
-        body << "{\"classes\":" << guard->live.size()
-             << ",\"flows\":" << control->flow_count()
-             << ",\"version\":" << guard->version << ",\"rows\":[";
-        bool first = true;
+        JsonWriter body;
+        body.begin_object().field("classes", guard->live.size())
+            .field("flows", control->flow_count())
+            .field("version", guard->version).key("rows").begin_array();
         for (const ClassId id : guard->live) {
           const SnapshotClass& c = guard->classes[id];
-          if (!first) body << ',';
-          first = false;
-          body << "{\"id\":" << id << ",\"name\":\""
-               << json_escape(c.name.empty() ? "class" + std::to_string(id)
-                                             : c.name)
-               << "\",\"weight\":" << c.weight
-               << ",\"members\":" << c.members << ",\"quarantined\":"
-               << (c.quarantined ? "true" : "false") << ",\"willing\":[";
-          for (std::size_t k = 0; k < c.willing.size(); ++k) {
-            if (k != 0) body << ',';
-            body << c.willing[k];
-          }
-          body << "],\"shards\":[";
-          for (std::size_t k = 0; k < c.shards.size(); ++k) {
-            if (k != 0) body << ',';
-            body << c.shards[k];
-          }
-          body << "]}";
+          body.begin_object().field("id", id)
+              .field("name", c.name.empty() ? "class" + std::to_string(id)
+                                            : c.name)
+              .field("weight", c.weight).field("members", c.members)
+              .field("quarantined", c.quarantined).key("willing")
+              .begin_array();
+          for (const IfaceId k : c.willing) body.value(k);
+          body.end_array().key("shards").begin_array();
+          for (const std::uint32_t k : c.shards) body.value(k);
+          body.end_array().end_object();
         }
-        body << "]}";
+        body.end_array().end_object();
         r.body = body.str();
         return r;
       });
@@ -599,10 +597,11 @@ int main(int argc, char** argv) {
       server->handle("/buildinfo", [egress_label](const http::HttpRequest&) {
         telemetry::HandlerResult r;
         r.content_type = "application/json";
-        std::string body = telemetry::build_info_json();
-        body.insert(body.rfind('}'),
-                    ",\"egress\":\"" + egress_label + "\"");
-        r.body = body;
+        JsonWriter body;
+        body.begin_object();
+        telemetry::write_build_info(body);
+        body.field("egress", egress_label).end_object();
+        r.body = body.str();
         return r;
       });
       if (slo != nullptr) {
@@ -621,51 +620,21 @@ int main(int argc, char** argv) {
         // /adapt?target_p99_ms=X moves the latency target without a
         // restart (0 disarms adaptive shedding).
         fault::AdaptiveController* ad = adapt.get();
-        Runtime* rt3 = &runtime;
-        server->handle("/adapt", [ad, rt3](const http::HttpRequest& req) {
+        server->handle("/adapt", [ad](const http::HttpRequest& req) {
           telemetry::HandlerResult r;
-          r.content_type = "application/json";
-          const std::string key = "target_p99_ms=";
-          const std::size_t query = req.target.find('?');
-          if (query != std::string::npos) {
-            const std::size_t at = req.target.find(key, query + 1);
-            if (at != std::string::npos) {
-              try {
-                const double ms =
-                    std::stod(req.target.substr(at + key.size()));
-                if (ms < 0.0 || !std::isfinite(ms)) throw std::out_of_range("");
-                ad->set_target_p99_ns(
-                    static_cast<SimDuration>(ms * 1e6 + 0.5));
-              } catch (const std::exception&) {
-                r.status = 400;
-                r.content_type = "text/plain";
-                r.body = "bad target_p99_ms\n";
-                return r;
-              }
+          if (const auto ms = req.query("target_p99_ms")) {
+            const std::optional<SimDuration> target = parse_ms(*ms);
+            if (!target) {
+              r.status = 400;
+              r.content_type = "text/plain";
+              r.body = "bad target_p99_ms (want milliseconds in [0, 1e9])\n";
+              return r;
             }
+            ad->set_target_p99_ns(*target);
           }
-          std::ostringstream body;
-          body << "{\"target_p99_ns\":" << ad->target_p99_ns()
-               << ",\"shed_bytes\":" << rt3->shed_bytes()
-               << ",\"shedding_active\":"
-               << (ad->shed_active() ? "true" : "false")
-               << ",\"windowed_p99_ns\":" << ad->windowed_p99_ns()
-               << ",\"correction\":" << ad->correction()
-               << ",\"updates\":" << ad->updates()
-               << ",\"retunes\":" << ad->retunes()
-               << ",\"shed_engages\":" << ad->shed_engages()
-               << ",\"droop_enters\":" << ad->droop_enters()
-               << ",\"droop_exits\":" << ad->droop_exits()
-               << ",\"ifaces\":[";
-          for (std::size_t j = 0; j < rt3->iface_count(); ++j) {
-            const auto id = static_cast<IfaceId>(j);
-            if (j != 0) body << ',';
-            body << "{\"name\":\"" << json_escape(rt3->iface_name(id))
-                 << "\",\"drift_ratio\":" << ad->drift_ratio(id)
-                 << ",\"drooped\":" << (ad->drooped(id) ? "true" : "false")
-                 << "}";
-          }
-          body << "]}";
+          r.content_type = "application/json";
+          JsonWriter body;
+          ad->write_json(body);
           r.body = body.str();
           return r;
         });
@@ -812,7 +781,7 @@ int main(int argc, char** argv) {
         std::cerr << "error: cannot write " << trace_out << "\n";
         return 1;
       }
-      builder.write(trace_file);
+      trace_file << builder.json();
       std::cerr << "trace: " << builder.event_count() << " events -> "
                 << trace_out << "\n";
     }
@@ -821,6 +790,17 @@ int main(int argc, char** argv) {
             .count();
 
     const RuntimeStats stats = runtime.stats();
+    std::uint64_t fixed = 0, fallback = 0, requeues = 0, shorts = 0;
+    std::uint64_t notifs = 0, copied = 0;  // uring counters, all interfaces
+    for (std::size_t j = 0; uring != nullptr && j < ifaces; ++j) {
+      const auto id = static_cast<IfaceId>(j);
+      fixed += uring->fixed_sends(id);
+      fallback += uring->fallback_sends(id);
+      requeues += uring->cqe_requeues(id);
+      shorts += uring->short_writes(id);
+      notifs += uring->zc_notifs(id);
+      copied += uring->zc_copied(id);
+    }
     const PacketPoolStats pool = generator.pool_stats();
     const bool pooled =
         payload == LoadGeneratorOptions::PayloadMode::kPooled;
@@ -829,177 +809,109 @@ int main(int argc, char** argv) {
         static_cast<double>(stats.dequeued_bytes) * 8.0 / elapsed / 1e9;
 
     if (json) {
-      std::ostringstream out;
-      out << "{"
-          << "\"policy\":\"" << to_string(policy) << "\","
-          << "\"flows\":" << flows << ","
-          << "\"flows_per_class\":" << flows_per_class << ","
-          << "\"classes\":" << runtime.control().class_count() << ","
-          << "\"ifaces\":" << ifaces << ","
-          << "\"workers\":" << workers << ","
-          << "\"shards\":" << shards << ","
-          << "\"producers\":" << producers << ","
-          << "\"duration_s\":" << elapsed << ","
-          << "\"offered\":" << stats.offered << ","
-          << "\"ring_rejects\":" << stats.ring_rejects << ","
-          << "\"enqueued\":" << stats.enqueued << ","
-          << "\"dequeued\":" << stats.dequeued << ","
-          << "\"dequeued_bytes\":" << stats.dequeued_bytes << ","
-          << "\"fanin_drops\":" << stats.fanin_drops << ","
-          << "\"tail_drops\":" << stats.tail_drops << ","
-          << "\"straggler_drops\":" << stats.straggler_drops << ","
-          << "\"shed_drops\":" << stats.shed_drops << ","
-          << "\"backpressure_rejects\":" << stats.backpressure_rejects << ","
-          << "\"quarantine_rejects\":" << stats.quarantine_rejects << ","
-          << "\"worker_restarts\":" << stats.worker_restarts << ","
-          << "\"bursts\":" << stats.bursts << ","
-          << "\"parks\":" << stats.parks << ","
-          << "\"churn_ops\":" << churn_ops << ","
-          << "\"metrics_series\":" << registry.series_count() << ","
-          << "\"egress\":{"
-          << "\"backend\":\"" << runtime.egress().name() << "\","
-          << "\"sent\":" << stats.sent << ","
-          << "\"sent_bytes\":" << stats.sent_bytes << ","
-          << "\"io_requeued\":" << stats.io_requeued << ","
-          << "\"io_drops\":" << stats.io_drops << ","
-          << "\"io_pending\":" << stats.io_pending << ","
-          << "\"io_inflight\":" << stats.io_inflight << ","
-          << "\"send_errors\":" << stats.io_send_errors << ","
-          << "\"syscalls\":" << stats.io_syscalls;
+      JsonWriter out;
+      out.begin_object().field("policy", to_string(policy))
+          .field("flows", flows).field("flows_per_class", flows_per_class)
+          .field("classes", runtime.control().class_count())
+          .field("ifaces", ifaces).field("workers", workers)
+          .field("shards", shards).field("producers", producers)
+          .field("duration_s", elapsed)
+          .field("offered", stats.offered)
+          .field("ring_rejects", stats.ring_rejects)
+          .field("enqueued", stats.enqueued)
+          .field("dequeued", stats.dequeued)
+          .field("dequeued_bytes", stats.dequeued_bytes)
+          .field("fanin_drops", stats.fanin_drops)
+          .field("tail_drops", stats.tail_drops)
+          .field("straggler_drops", stats.straggler_drops)
+          .field("shed_drops", stats.shed_drops)
+          .field("backpressure_rejects", stats.backpressure_rejects)
+          .field("quarantine_rejects", stats.quarantine_rejects)
+          .field("worker_restarts", stats.worker_restarts)
+          .field("bursts", stats.bursts).field("parks", stats.parks)
+          .field("churn_ops", churn_ops)
+          .field("metrics_series", registry.series_count())
+          .key("egress").begin_object()
+          .field("backend", runtime.egress().name())
+          .field("sent", stats.sent).field("sent_bytes", stats.sent_bytes)
+          .field("io_requeued", stats.io_requeued)
+          .field("io_drops", stats.io_drops)
+          .field("io_pending", stats.io_pending)
+          .field("io_inflight", stats.io_inflight)
+          .field("send_errors", stats.io_send_errors)
+          .field("syscalls", stats.io_syscalls);
       if (uring != nullptr) {
-        std::uint64_t fixed = 0, fallback = 0, requeues = 0, shorts = 0;
-        std::uint64_t notifs = 0, copied = 0;
-        for (std::size_t j = 0; j < ifaces; ++j) {
-          const auto id = static_cast<IfaceId>(j);
-          fixed += uring->fixed_sends(id);
-          fallback += uring->fallback_sends(id);
-          requeues += uring->cqe_requeues(id);
-          shorts += uring->short_writes(id);
-          notifs += uring->zc_notifs(id);
-          copied += uring->zc_copied(id);
-        }
-        out << ",\"uring\":{"
-            << "\"zerocopy_active\":"
-            << (uring->zerocopy_active() ? "true" : "false") << ","
-            << "\"registered_buffers\":" << uring->registered_buffers() << ","
-            << "\"fixed_sends\":" << fixed << ","
-            << "\"fallback_sends\":" << fallback << ","
-            << "\"cqe_requeues\":" << requeues << ","
-            << "\"short_writes\":" << shorts << ","
-            << "\"zc_notifs\":" << notifs << ","
-            << "\"zc_copied\":" << copied << ","
-            << "\"cq_overflows\":" << uring->cq_overflows()
-            << "}";
+        out.key("uring").begin_object()
+            .field("zerocopy_active", uring->zerocopy_active())
+            .field("registered_buffers", uring->registered_buffers())
+            .field("fixed_sends", fixed).field("fallback_sends", fallback)
+            .field("cqe_requeues", requeues).field("short_writes", shorts)
+            .field("zc_notifs", notifs).field("zc_copied", copied)
+            .field("cq_overflows", uring->cq_overflows()).end_object();
       }
-      out << "},";
+      out.end_object();
       if (const telemetry::StageTracer* tracer = runtime.stage_tracer()) {
         const LatencySnapshot e2e = tracer->e2e_merged();
-        out << "\"stage\":{"
-            << "\"sample_every\":" << tracer->sample_every() << ","
-            << "\"started\":" << tracer->started() << ","
-            << "\"completed\":" << tracer->completed() << ","
-            << "\"lost\":" << tracer->lost() << ","
-            << "\"dropped\":" << tracer->dropped() << ","
-            << "\"reconciliation_error\":" << tracer->reconciliation_error();
+        out.key("stage").begin_object()
+            .field("sample_every", tracer->sample_every())
+            .field("started", tracer->started())
+            .field("completed", tracer->completed())
+            .field("lost", tracer->lost()).field("dropped", tracer->dropped())
+            .field("reconciliation_error", tracer->reconciliation_error());
         for (std::size_t st = 0; st < telemetry::kStageCount; ++st) {
           const auto stage = static_cast<telemetry::Stage>(st);
           const LatencySnapshot merged = tracer->stage_merged(stage);
-          const char* name = telemetry::to_string(stage);
-          out << ",\"" << name << "_p50_ns\":" << merged.quantile(0.50)
-              << ",\"" << name << "_p99_ns\":" << merged.quantile(0.99);
+          const std::string name = telemetry::to_string(stage);
+          out.field(name + "_p50_ns", merged.quantile(0.50))
+              .field(name + "_p99_ns", merged.quantile(0.99));
         }
-        out << ",\"e2e_p50_ns\":" << e2e.quantile(0.50)
-            << ",\"e2e_p99_ns\":" << e2e.quantile(0.99)
-            << "},";
+        out.field("e2e_p50_ns", e2e.quantile(0.50))
+            .field("e2e_p99_ns", e2e.quantile(0.99)).end_object();
       }
       if (slo != nullptr) {
-        out << "\"slo\":"
-            << slo->json(static_cast<std::uint64_t>(runtime.now_ns()))
-            << ",";
+        slo->write_json(out.key("slo"),
+                        static_cast<std::uint64_t>(runtime.now_ns()));
       }
       if (flight != nullptr) {
-        out << "\"flight\":{"
-            << "\"events\":" << flight->events_logged() << ","
-            << "\"dumps\":" << flight->dumps() << ","
-            << "\"dump_path\":\"" << json_escape(flight_dump) << "\"},";
+        out.key("flight").begin_object()
+            .field("events", flight->events_logged())
+            .field("dumps", flight->dumps())
+            .field("dump_path", flight_dump).end_object();
       }
       if (injector != nullptr) {
-        out << "\"fault\":{"
-            << "\"ingress_drops\":" << injector->ingress_drops() << ","
-            << "\"ingress_dups\":" << injector->ingress_dups() << ","
-            << "\"ingress_delays\":" << injector->ingress_delays() << ","
-            << "\"pool_rejects\":" << injector->pool_rejects() << ","
-            << "\"worker_stalls\":" << injector->stalls_entered() << ","
-            << "\"iface_transitions\":" << injector->iface_transitions()
-            << "},";
+        out.key("fault").begin_object()
+            .field("ingress_drops", injector->ingress_drops())
+            .field("ingress_dups", injector->ingress_dups())
+            .field("ingress_delays", injector->ingress_delays())
+            .field("pool_rejects", injector->pool_rejects())
+            .field("worker_stalls", injector->stalls_entered())
+            .field("iface_transitions", injector->iface_transitions())
+            .end_object();
       }
       if (supervisor != nullptr) {
-        out << "\"supervisor\":{"
-            << "\"link_transitions\":" << supervisor->transitions() << ","
-            << "\"restarts_attempted\":" << supervisor->restarts_attempted()
-            << ","
-            << "\"restarts_succeeded\":" << supervisor->restarts_succeeded()
-            << ","
-            << "\"restarts_refused\":" << supervisor->restarts_refused() << ","
-            << "\"clustering_checks\":" << supervisor->clustering_checks()
-            << ","
-            << "\"clustering_violations\":"
-            << supervisor->clustering_violations() << ","
-            << "\"verdict_sequence\":[";
-        const std::vector<std::string> verdicts =
-            supervisor->verdict_sequence();
-        for (std::size_t i = 0; i < verdicts.size(); ++i) {
-          if (i != 0) out << ',';
-          out << '"' << json_escape(verdicts[i]) << '"';
+        out.key("supervisor").begin_object()
+            .field("link_transitions", supervisor->transitions())
+            .field("restarts_attempted", supervisor->restarts_attempted())
+            .field("restarts_succeeded", supervisor->restarts_succeeded())
+            .field("restarts_refused", supervisor->restarts_refused())
+            .field("clustering_checks", supervisor->clustering_checks())
+            .field("clustering_violations",
+                   supervisor->clustering_violations())
+            .key("verdict_sequence").begin_array();
+        for (const std::string& verdict : supervisor->verdict_sequence()) {
+          out.value(verdict);
         }
-        out << "]},";
+        out.end_array().end_object();
       }
-      if (adapt != nullptr) {
-        out << "\"adapt\":{"
-            << "\"target_p99_ns\":" << adapt->target_p99_ns() << ","
-            << "\"shed_bytes\":" << runtime.shed_bytes() << ","
-            << "\"shedding_active\":"
-            << (adapt->shed_active() ? "true" : "false") << ","
-            << "\"windowed_p99_ns\":" << adapt->windowed_p99_ns() << ","
-            << "\"correction\":" << adapt->correction() << ","
-            << "\"updates\":" << adapt->updates() << ","
-            << "\"retunes\":" << adapt->retunes() << ","
-            << "\"shed_engages\":" << adapt->shed_engages() << ","
-            << "\"droop_enters\":" << adapt->droop_enters() << ","
-            << "\"droop_exits\":" << adapt->droop_exits() << ","
-            << "\"drift\":[";
-        for (std::size_t j = 0; j < ifaces; ++j) {
-          const auto id = static_cast<IfaceId>(j);
-          if (j != 0) out << ',';
-          out << "{\"iface\":\"" << json_escape(runtime.iface_name(id))
-              << "\",\"ratio\":" << adapt->drift_ratio(id)
-              << ",\"drooped\":" << (adapt->drooped(id) ? "true" : "false")
-              << "}";
-        }
-        out << "]},";
-      }
-      if (pooled) {
-        out << "\"pool\":{"
-            << "\"slabs\":" << pool.slabs << ","
-            << "\"capacity_slots\":" << pool.capacity_slots << ","
-            << "\"acquired\":" << pool.acquired << ","
-            << "\"released\":" << pool.released << ","
-            << "\"outstanding\":" << pool.outstanding << ","
-            << "\"misses\":" << pool.misses << ","
-            << "\"cross_thread_returns\":" << pool.cross_thread_returns << ","
-            << "\"overflow_returns\":" << pool.overflow_returns
-            << "},";
-      }
-      out
-          << "\"pps\":" << pps << ","
-          << "\"gbps\":" << gbps_out << ","
-          << "\"latency_count\":" << stats.latency_count << ","
-          << "\"latency_p50_ns\":" << stats.latency_p50_ns << ","
-          << "\"latency_p90_ns\":" << stats.latency_p90_ns << ","
-          << "\"latency_p99_ns\":" << stats.latency_p99_ns << ","
-          << "\"latency_p999_ns\":" << stats.latency_p999_ns << ","
-          << "\"latency_mean_ns\":" << stats.latency_mean_ns
-          << "}";
+      if (adapt != nullptr) adapt->write_json(out.key("adapt"));
+      if (pooled) write_json(out.key("pool"), pool);
+      out.field("pps", pps).field("gbps", gbps_out)
+          .field("latency_count", stats.latency_count)
+          .field("latency_p50_ns", stats.latency_p50_ns)
+          .field("latency_p90_ns", stats.latency_p90_ns)
+          .field("latency_p99_ns", stats.latency_p99_ns)
+          .field("latency_p999_ns", stats.latency_p999_ns)
+          .field("latency_mean_ns", stats.latency_mean_ns).end_object();
       std::cout << out.str() << "\n";
     } else {
       std::cout << "midrr_rt: " << to_string(policy) << ", " << flows
@@ -1023,11 +935,6 @@ int main(int argc, char** argv) {
                 << " inflight, " << stats.io_syscalls << " syscalls, "
                 << stats.io_send_errors << " send errors\n";
       if (uring != nullptr) {
-        std::uint64_t fixed = 0, fallback = 0;
-        for (std::size_t j = 0; j < ifaces; ++j) {
-          fixed += uring->fixed_sends(static_cast<IfaceId>(j));
-          fallback += uring->fallback_sends(static_cast<IfaceId>(j));
-        }
         std::cout << "  uring     " << fixed << " zero-copy sends / "
                   << fallback << " fallback sends, "
                   << uring->registered_buffers() << " registered buffers, "

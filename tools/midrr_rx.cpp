@@ -34,7 +34,6 @@
 #include <iostream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -42,6 +41,7 @@
 #include "telemetry/build_info.hpp"
 #include "telemetry/exporter.hpp"
 #include "telemetry/metrics.hpp"
+#include "util/json.hpp"
 #include "util/time.hpp"
 
 namespace {
@@ -312,44 +312,32 @@ int main(int argc, char** argv) {
   const double wire_p99_ns = traced > 0 ? wire_hist.quantile(0.99) : 0.0;
 
   if (json) {
-    std::ostringstream out;
-    out << "{"
-        << "\"ports\":" << ports << ","
-        << "\"base_port\":" << base_port << ","
-        << "\"duration_s\":" << elapsed << ","
-        << "\"datagrams\":" << total_datagrams << ","
-        << "\"wire_bytes\":" << wire << ","
-        << "\"credited_bytes\":" << credited << ","
-        << "\"parse_errors\":" << parse_errors << ","
-        << "\"gaps\":" << gaps << ","
-        << "\"reorders\":" << reorders << ","
-        << "\"traced_datagrams\":" << traced << ","
-        << "\"wire_p50_ns\":" << wire_p50_ns << ","
-        << "\"wire_p99_ns\":" << wire_p99_ns << ","
-        << "\"flows\":[";
-    bool first = true;
+    midrr::JsonWriter out;
+    out.begin_object().field("ports", ports).field("base_port", base_port)
+        .field("duration_s", elapsed).field("datagrams", total_datagrams)
+        .field("wire_bytes", wire).field("credited_bytes", credited)
+        .field("parse_errors", parse_errors).field("gaps", gaps)
+        .field("reorders", reorders).field("traced_datagrams", traced)
+        .field("wire_p50_ns", wire_p50_ns).field("wire_p99_ns", wire_p99_ns)
+        .key("flows").begin_array();
     for (const auto& [flow, tally] : by_flow) {
-      if (!first) out << ',';
-      first = false;
-      out << "{\"flow\":" << flow << ",\"datagrams\":" << tally.datagrams
-          << ",\"credited_bytes\":" << tally.credited_bytes
-          << ",\"wire_bytes\":" << tally.wire_bytes << "}";
+      out.begin_object().field("flow", flow)
+          .field("datagrams", tally.datagrams)
+          .field("credited_bytes", tally.credited_bytes)
+          .field("wire_bytes", tally.wire_bytes).end_object();
     }
-    out << "],\"by_port\":[";
+    out.end_array().key("by_port").begin_array();
     for (std::size_t j = 0; j < ports; ++j) {
-      if (j != 0) out << ',';
       const PortTally& port = by_port[j];
-      out << "{\"port\":" << base_port + j << ",\"datagrams\":"
-          << port.datagrams.load(std::memory_order_relaxed)
-          << ",\"wire_bytes\":"
-          << port.wire_bytes.load(std::memory_order_relaxed)
-          << ",\"parse_errors\":"
-          << port.parse_errors.load(std::memory_order_relaxed)
-          << ",\"gaps\":" << port.gaps.load(std::memory_order_relaxed)
-          << ",\"reorders\":"
-          << port.reorders.load(std::memory_order_relaxed) << "}";
+      constexpr auto kRelaxed = std::memory_order_relaxed;
+      out.begin_object().field("port", base_port + j)
+          .field("datagrams", port.datagrams.load(kRelaxed))
+          .field("wire_bytes", port.wire_bytes.load(kRelaxed))
+          .field("parse_errors", port.parse_errors.load(kRelaxed))
+          .field("gaps", port.gaps.load(kRelaxed))
+          .field("reorders", port.reorders.load(kRelaxed)).end_object();
     }
-    out << "]}";
+    out.end_array().end_object();
     std::cout << out.str() << "\n";
   } else {
     std::cout << "midrr_rx: " << total_datagrams << " datagrams / " << wire
