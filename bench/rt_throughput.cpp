@@ -566,9 +566,11 @@ EgressCell run_egress_cell(EgressKind kind, std::size_t max_batch,
 // SAME class count (1000) at 100x different flow counts; if publish cost
 // really is O(classes), the single-member publish latency must come out
 // ~equal -- that ratio is the number CI bounds.  RSS is read from
-// /proc/self/statm around registration, so rss_bytes_per_flow is the
-// marginal footprint of a registered flow (directory slot, queue, class
-// membership), not the process baseline.
+// /proc/self/statm before registration, after it, and after the load
+// phase: rss_bytes_per_flow is the marginal footprint of a registered flow
+// (directory slot, queue, class membership), and loaded_rss_bytes_per_flow
+// adds what the flows grew while the load generator visited every one of
+// them (queue rings, ring links), not the process baseline.
 struct ScaleCell {
   std::size_t flows = 0;
   std::size_t flows_per_class = 0;
@@ -576,6 +578,7 @@ struct ScaleCell {
   double register_s = 0;
   long long rss_delta_bytes = 0;
   double rss_bytes_per_flow = 0;
+  double loaded_rss_bytes_per_flow = 0;
   double publish_p50_ns = 0;
   double pps = 0;
   std::uint64_t dequeued = 0;
@@ -664,6 +667,8 @@ ScaleCell run_scale_cell(std::size_t flows, std::size_t flows_per_class,
   cell.duration_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  cell.loaded_rss_bytes_per_flow =
+      static_cast<double>(resident_bytes() - rss0) / static_cast<double>(flows);
   const RuntimeStats stats = runtime.stats();
   cell.dequeued = stats.dequeued;
   cell.pps = static_cast<double>(stats.dequeued) / cell.duration_s;
@@ -871,7 +876,9 @@ int main(int argc, char** argv) {
     std::cerr << " " << cell.classes << " classes, register "
               << cell.register_s << " s, publish p50 "
               << cell.publish_p50_ns / 1e3 << " us, rss/flow "
-              << cell.rss_bytes_per_flow << " B, " << cell.pps / 1e6
+              << cell.rss_bytes_per_flow << " B registered, "
+              << cell.loaded_rss_bytes_per_flow << " B loaded, "
+              << cell.pps / 1e6
               << " Mpps\n";
     scale_cells.push_back(cell);
   }
@@ -1007,7 +1014,8 @@ int main(int argc, char** argv) {
   }
   // Equal class counts at 100x different flow counts: the publish-latency
   // ratio is the evidence that control-plane cost tracks classes, not
-  // flows.  CI bounds the ratio and the per-flow resident bytes.
+  // flows.  CI bounds the ratio and the per-flow resident bytes, registered
+  // and loaded.
   json.end_array().key("scale_sweep").begin_array();
   for (const ScaleCell& c : scale_cells) {
     json.begin_object().field("flows", c.flows)
@@ -1015,6 +1023,7 @@ int main(int argc, char** argv) {
         .field("classes", c.classes).field("register_s", c.register_s)
         .field("rss_delta_bytes", c.rss_delta_bytes)
         .field("rss_bytes_per_flow", c.rss_bytes_per_flow)
+        .field("loaded_rss_bytes_per_flow", c.loaded_rss_bytes_per_flow)
         .field("publish_p50_ns", c.publish_p50_ns).field("pps", c.pps)
         .field("dequeued", c.dequeued).field("duration_s", c.duration_s)
         .end_object();

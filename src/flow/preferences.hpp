@@ -6,14 +6,23 @@
 // be positive; a flow may have an empty preference row -- it then simply
 // never gets scheduled, which tests cover).  Schedulers observe it through
 // the read-only API and are notified of changes by their owner.
+//
+// Per-flow state is columnar and allocation-free: one flat array per
+// attribute indexed by FlowId, and Pi as one byte per (flow, interface
+// slot) in a FlowIfaceMatrix, so registering an unnamed flow only appends
+// to amortized columns.  The minimum live weight phi_min (the DRR family's
+// quantum normalizer) is maintained as a count of live flows per distinct
+// weight, so reading it is O(1) and no preference change costs O(flows).
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "flow/ids.hpp"
+#include "util/flat_matrix.hpp"
 
 namespace midrr {
 
@@ -31,7 +40,8 @@ class Preferences {
   /// Removes a flow; its id is never reused.
   void remove_flow(FlowId flow);
 
-  /// Removes an interface (e.g. WiFi went away); its id is never reused.
+  /// Removes an interface (e.g. WiFi went away); its id is never reused
+  /// and its column of Pi reads unwilling from then on.
   void remove_interface(IfaceId iface);
 
   bool flow_exists(FlowId flow) const;
@@ -43,11 +53,21 @@ class Preferences {
   /// Updates one entry of Pi.
   void set_willing(FlowId flow, IfaceId iface, bool value);
 
+  /// Row `flow` of Pi, one byte per interface slot (non-zero = willing;
+  /// removed interfaces read zero).  A view into the matrix: valid until
+  /// the next add_flow / add_interface.
+  std::span<const std::uint8_t> willing_row(FlowId flow) const;
+
   /// phi_flow.
   double weight(FlowId flow) const;
   void set_weight(FlowId flow, double weight);
 
-  const std::string& flow_name(FlowId flow) const;
+  /// phi_min: the smallest weight of any live flow (1.0 when none is
+  /// live).  O(1).
+  double min_weight() const;
+
+  /// The name the flow was registered with, or "flow<id>" if none.
+  std::string flow_name(FlowId flow) const;
   const std::string& iface_name(IfaceId iface) const;
 
   /// Flows willing to use `iface` (the paper's F_j), in id order.
@@ -66,31 +86,31 @@ class Preferences {
   /// One past the largest id ever handed out (ids are never reused, so
   /// dense per-flow / per-interface arrays must be sized by slots, not by
   /// the live count).
-  std::size_t flow_slots() const { return flows_.size(); }
+  std::size_t flow_slots() const { return live_.size(); }
   std::size_t iface_slots() const { return ifaces_.size(); }
 
-  /// Monotone counter bumped on every mutation; lets cached views (e.g. a
-  /// scheduler's per-interface flow rings) detect staleness cheaply.
-  std::uint64_t version() const { return version_; }
-
  private:
-  struct FlowEntry {
-    bool live = false;
-    double weight = 1.0;
-    std::vector<bool> willing;  // indexed by IfaceId
-    std::string name;
-  };
   struct IfaceEntry {
     bool live = false;
     std::string name;
   };
 
-  const FlowEntry& flow_entry(FlowId flow) const;
-  FlowEntry& flow_entry(FlowId flow);
+  void require_flow(FlowId flow) const;
 
-  std::vector<FlowEntry> flows_;
+  /// Uncounts one live flow of weight `weight` (the inverse of
+  /// ++live_weights_[weight]).
+  void uncount_weight(double weight);
+
+  // Per-flow columns, indexed by FlowId.
+  std::vector<std::uint8_t> live_;
+  std::vector<double> weight_;
+  std::vector<std::string> name_;    // as given; empty = unnamed
+  FlowIfaceMatrix<std::uint8_t> pi_; // [flow][iface]; 1 = willing
+
+  /// Live flows per distinct weight, ascending; begin() is phi_min.
+  std::map<double, std::size_t> live_weights_;
+
   std::vector<IfaceEntry> ifaces_;
-  std::uint64_t version_ = 0;
 };
 
 }  // namespace midrr

@@ -5,7 +5,7 @@
 namespace midrr {
 
 void FlowQueue::grow() {
-  const std::size_t new_cap = ring_.empty() ? 16 : ring_.size() * 2;
+  const std::size_t new_cap = ring_.empty() ? 2 : ring_.size() * 2;
   std::vector<Packet> next(new_cap);
   for (std::size_t i = 0; i < count_; ++i) {
     next[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);

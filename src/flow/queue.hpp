@@ -56,9 +56,11 @@ class FlowQueue {
 
   // Power-of-two circular buffer instead of std::deque: a deque allocates
   // and frees a block every ~dozen packets, which on the runtime's data
-  // path happens under the shard mutex.  The ring grows geometrically and
-  // never shrinks, so a queue at steady state enqueues and dequeues with
-  // zero allocator traffic.
+  // path happens under the shard mutex.  The ring starts at 2 packets --
+  // most flows of a large population hold one or two at a time, and a
+  // queue is kept per (flow, shard) -- then doubles and never shrinks, so
+  // a queue at steady state enqueues and dequeues with zero allocator
+  // traffic and its ring is sized to the deepest backlog it has held.
   std::uint64_t capacity_bytes_;
   std::uint64_t backlog_bytes_ = 0;
   std::vector<Packet> ring_;  // size is a power of two (or 0 before first use)

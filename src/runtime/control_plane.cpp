@@ -123,8 +123,32 @@ void ControlPlane::refresh_liveness_locked(ClassId cls) {
   } else if (!entry.live && was_live) {
     latest_.live.erase(
         std::find(latest_.live.begin(), latest_.live.end(), cls));
+  }
+  if (!entry.live && !entry.retiring) {
     entry.quarantined = false;
     entry.shards.clear();
+  }
+}
+
+void ControlPlane::publish_move_locked(ClassId from, ClassId to,
+                                       std::span<const FlowId> moved) {
+  SnapshotClass& src = latest_.classes[from];
+  SnapshotClass& dst = latest_.classes[to];
+  MIDRR_ASSERT(src.members >= moved.size(), "moving more members than held");
+  dst.members += moved.size();
+  src.members -= moved.size();
+  // An emptied source leaves the live list but keeps routing until the
+  // directory stops naming it.
+  src.retiring = src.members == 0;
+  refresh_liveness_locked(to);
+  refresh_liveness_locked(from);
+  ++latest_.version;
+  publish_locked(clone_locked());
+  for (const FlowId f : moved) dir_store(f, to);
+  if (src.retiring) {
+    src.retiring = false;
+    refresh_liveness_locked(from);
+    publish_locked(clone_locked());
   }
 }
 
@@ -242,13 +266,7 @@ void ControlPlane::move_member(FlowId flow, const ClassSpec& spec) {
   }
 
   const std::vector<std::uint32_t> old_shards = oldc.shards;
-  --oldc.members;
-  newc.members += 1;
-  refresh_liveness_locked(old_cid);
-  refresh_liveness_locked(new_cid);
-  ++latest_.version;
-  publish_locked(clone_locked());
-  dir_store(flow, new_cid);
+  publish_move_locked(old_cid, new_cid, std::span<const FlowId>(&flow, 1));
 
   for (const std::uint32_t s : old_shards) {
     if (!contains(latest_.classes[new_cid].shards, s)) {
@@ -268,23 +286,15 @@ ClassId ControlPlane::reweight_class(ClassId cls, double weight) {
   spec.weight = weight;
   const std::vector<FlowId> members = members_of(cls);
   const ClassId target = intern_locked(spec);  // mint, revive, or MERGE
-  SnapshotClass& oldc = latest_.classes[cls];
-  SnapshotClass& newc = latest_.classes[target];
 
   // Same Pi row => same hosting shards; every member's queue survives, only
   // its scheduler weight changes.
   for (const FlowId f : members) {
-    for (const std::uint32_t s : newc.shards) {
+    for (const std::uint32_t s : latest_.classes[target].shards) {
       applier_.shard_set_weight(s, f, weight);
     }
   }
-  newc.members += members.size();
-  oldc.members = 0;
-  refresh_liveness_locked(cls);
-  refresh_liveness_locked(target);
-  ++latest_.version;
-  publish_locked(clone_locked());  // ONE publish for the whole class
-  for (const FlowId f : members) dir_store(f, target);
+  publish_move_locked(cls, target, members);  // ONE delta for the whole class
   return target;
 }
 

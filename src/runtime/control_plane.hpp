@@ -34,6 +34,14 @@
 //     flow from shards -- producers stop offering before a shard forgets
 //     the flow; packets already sitting in ingress rings for a forgotten
 //     flow are dropped by the fan-in stage (counted, never fatal).
+//   * member moves (move_member, reweight_class) follow both rules: the
+//     first publish makes the target class live while the source class,
+//     even if the move empties it, still routes (`retiring`); then the
+//     directory re-points the moved members; then, if the source emptied,
+//     a second publish retires it.  Every snapshot a reader can hold
+//     routes whichever class the directory names, provided the reader
+//     enters its critical section BEFORE loading the directory word (a
+//     publish waits out readers of the snapshot it replaces).
 // Writers are serialized by an internal mutex; readers never block.
 #pragma once
 
@@ -41,6 +49,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,6 +80,10 @@ using RtFlowSpec = ClassSpec;
 struct SnapshotClass {
   ClassId id = kInvalidClass;
   bool live = false;  ///< has at least one member
+  /// Emptied by a member move whose directory re-point has not happened
+  /// yet: not live (members moved to the target class), but still routed
+  /// for the one publish that precedes the re-point.
+  bool retiring = false;
   /// Live with a non-empty Pi row but no LIVE willing interface: members
   /// keep their preferences and ids, producers' offers are rejected and
   /// counted (never silently dropped), and the next revive re-steers the
@@ -97,8 +110,11 @@ struct RuntimeSnapshot {
   /// all up.  Indexed by global interface id when non-empty.
   std::vector<bool> iface_down{};
 
+  /// The routing entry of a live or retiring class; nullptr otherwise.
   const SnapshotClass* cls(ClassId id) const {
-    return id < classes.size() && classes[id].live ? &classes[id] : nullptr;
+    return id < classes.size() && (classes[id].live || classes[id].retiring)
+               ? &classes[id]
+               : nullptr;
   }
 };
 
@@ -270,6 +286,13 @@ class ControlPlane {
   /// Bookkeeping after a membership change: live-list membership and
   /// quarantine state of one class.
   void refresh_liveness_locked(ClassId cls);
+
+  /// Moves `moved` (members of `from`) to class `to` and publishes,
+  /// growth before shrink: publish with both classes routed, re-point the
+  /// directory, then retire `from` with a second publish if it emptied.
+  /// Both publishes carry one version bump (one delta).
+  void publish_move_locked(ClassId from, ClassId to,
+                           std::span<const FlowId> moved);
 
   /// Directory write, paired with the live-flow gauge.
   void dir_store(FlowId flow, ClassId cls);

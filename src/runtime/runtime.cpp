@@ -54,12 +54,16 @@ bool IngressPort::refresh_route(FlowId flow, std::uint64_t epoch) {
   CachedRoute& route = routes_[flow];
   // Flow -> class through the lock-free directory, then class -> hosting
   // shards from the snapshot.  The control plane stores the directory word
-  // only after the class is published (growth) and clears it before the
-  // class shrinks, so a directory hit normally finds its class below; the
-  // residual races surface as one counted reject and a refresh on the next
-  // offer, never a misroute.
-  const ClassId cls = rt_.control_->class_of(flow);
+  // only after the class is published (growth), clears it before the class
+  // shrinks, and re-points a moved member only between two publishes that
+  // both route it.  Entering the critical section BEFORE the directory
+  // load makes a hit always find its class: a publish waits out readers of
+  // the snapshot it replaces, so the word can only have moved within what
+  // this snapshot routes.  A route may still go stale after the guard is
+  // released; that surfaces as a refresh on the next offer (the epoch
+  // moved) or a counted straggler drop, never a misroute.
   const auto guard = reader_.lock();
+  const ClassId cls = rt_.control_->class_of(flow);
   const SnapshotClass* entry = cls == kInvalidClass ? nullptr : guard->cls(cls);
   if (entry == nullptr || entry->shards.empty()) {
     route.epoch = epoch;

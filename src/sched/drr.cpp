@@ -39,16 +39,9 @@ std::int64_t DrrFamilyScheduler::quantum_of(FlowId flow) const {
   // before any other interface has had time to re-set the flag, which
   // destroys the flag's "served recently elsewhere" meaning.  (Classical
   // DRR recommends quantum >= MTU for the same O(1) reason.)
-  const double w = preferences().weight(flow);
-  if (min_weight_version_ != preferences().version()) {
-    min_weight_version_ = preferences().version();
-    min_weight_ = w;
-    for (const FlowId f : preferences().flows()) {
-      min_weight_ = std::min(min_weight_, preferences().weight(f));
-    }
-  }
-  const auto q = static_cast<std::int64_t>(std::llround(
-      w / min_weight_ * static_cast<double>(quantum_base_)));
+  const auto q = static_cast<std::int64_t>(
+      std::llround(preferences().weight(flow) / preferences().min_weight() *
+                   static_cast<double>(quantum_base_)));
   return q > 0 ? q : 1;
 }
 
@@ -105,11 +98,15 @@ void DrrFamilyScheduler::on_willing_changed(FlowId flow, IfaceId iface,
 }
 
 void DrrFamilyScheduler::on_backlogged(FlowId flow) {
-  for (IfaceId j : preferences().ifaces_of(flow)) {
-    if (j < rings_.size() && !rings_[j].contains(flow)) {
-      rings_[j].insert(flow);
-    }
+  const std::span<const std::uint8_t> row = preferences().willing_row(flow);
+  for (IfaceId j = 0; j < row.size() && j < rings_.size(); ++j) {
+    if (row[j] != 0 && !rings_[j].contains(flow)) rings_[j].insert(flow);
   }
+}
+
+bool DrrFamilyScheduler::has_eligible(IfaceId iface) const {
+  // A flow sits in ring j exactly when it is backlogged and willing on j.
+  return iface < rings_.size() && !rings_[iface].empty();
 }
 
 void DrrFamilyScheduler::enter_turn(IfaceId iface, FlowRing& r,

@@ -34,7 +34,11 @@ class DrrFamilyScheduler : public Scheduler {
 
   /// Q_i in bytes: phi_i / phi_min * quantum_base, so the smallest-weight
   /// flow gets exactly quantum_base and ratios follow the rate preferences.
+  /// O(1): phi_min is the registry's maintained minimum.
   std::int64_t quantum_of(FlowId flow) const;
+
+  /// O(1): ring occupancy answers eligibility.
+  bool has_eligible(IfaceId iface) const override;
 
   /// Batched enqueue specialized for the DRR family: per-packet work is
   /// one queue append plus the idle->backlogged ring insert when a flow
@@ -94,9 +98,6 @@ class DrrFamilyScheduler : public Scheduler {
   std::uint32_t quantum_base_;
   std::vector<FlowRing> rings_;                     // by IfaceId
   FlowIfaceMatrix<std::uint64_t> turn_count_;       // [flow][iface], flat
-  // Cache of the minimum live weight (quantum normalization).
-  mutable double min_weight_ = 1.0;
-  mutable std::uint64_t min_weight_version_ = ~0ull;
 };
 
 /// DRR run independently on each interface: deficit counters are keyed by

@@ -215,26 +215,16 @@ ClassId HierMiDrrScheduler::class_of(FlowId flow) const {
 // --- the two-level select loop --------------------------------------------
 
 std::int64_t HierMiDrrScheduler::class_quantum(ClassId cls) const {
-  // phi_min over live classes, cached on the registry version exactly like
-  // the flat family's min-weight cache (every attach/detach/reweight bumps
-  // the version via its Preferences mutation).
-  if (min_weight_version_ != preferences().version()) {
-    min_weight_version_ = preferences().version();
-    double min_w = -1.0;
-    for (ClassId c = 0; c < table_.slots(); ++c) {
-      if (table_.member_count(c) == 0) continue;
-      const double w = table_.key(c).weight;
-      if (min_w < 0.0 || w < min_w) min_w = w;
-    }
-    min_weight_ = min_w > 0.0 ? min_w : 1.0;
-  }
+  // phi_min over live classes is phi_min over live flows: every live flow
+  // is attached to the class of its own weight.
   const double w = table_.key(cls).weight;
   const double members =
       static_cast<double>(classes_[cls].backlogged > 0
                               ? classes_[cls].backlogged
                               : std::size_t{1});
   const auto q = static_cast<std::int64_t>(std::llround(
-      members * w / min_weight_ * static_cast<double>(quantum_base_)));
+      members * w / preferences().min_weight() *
+      static_cast<double>(quantum_base_)));
   return q > 0 ? q : 1;
 }
 

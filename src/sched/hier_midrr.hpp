@@ -154,10 +154,6 @@ class HierMiDrrScheduler final : public Scheduler {
   std::vector<FlowId> mprev_;
   std::vector<std::int64_t> mdc_;        // inner deficit, by FlowId
   std::uint64_t flags_skipped_ = 0;
-  // Cache of the minimum live per-member weight (quantum normalization),
-  // keyed on the preference registry version like the flat DRR family.
-  mutable double min_weight_ = 1.0;
-  mutable std::uint64_t min_weight_version_ = ~0ull;
 };
 
 }  // namespace midrr

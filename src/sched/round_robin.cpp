@@ -33,10 +33,9 @@ void RoundRobinScheduler::on_willing_changed(FlowId flow, IfaceId iface,
 }
 
 void RoundRobinScheduler::on_backlogged(FlowId flow) {
-  for (IfaceId j : preferences().ifaces_of(flow)) {
-    if (j < rings_.size() && !rings_[j].contains(flow)) {
-      rings_[j].insert(flow);
-    }
+  const std::span<const std::uint8_t> row = preferences().willing_row(flow);
+  for (IfaceId j = 0; j < row.size() && j < rings_.size(); ++j) {
+    if (row[j] != 0 && !rings_[j].contains(flow)) rings_[j].insert(flow);
   }
 }
 

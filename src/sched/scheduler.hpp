@@ -11,14 +11,17 @@
 // topology-change hooks.
 //
 // Thread-safety: schedulers are externally synchronized -- hold one lock
-// around EVERY call, including const ones.  Audit notes (why const is not
-// enough): MiDrrScheduler::quantum_of refreshes a mutable min-weight
-// cache, and has_eligible walks flows_willing, which may materialize its
-// result; neither is safe to race with a writer.  The in-kernel prototype
-// the paper describes guards scheduling with a single mutex; the bridge
-// layer (src/bridge) does the same, the simulator is single-threaded by
-// construction, and the real-time runtime (src/runtime) wraps each shard's
-// scheduler in that shard's mutex (see docs/RUNTIME.md).
+// around EVERY call, including const ones.  No const call mutates state,
+// but every one reads state a writer moves (quantum_of reads the
+// maintained phi_min that set_weight and remove_flow update), so racing a
+// writer is still a data race.  What still allocates under that lock: the
+// base has_eligible materializes flows_willing, an O(flow slots) scan, for
+// WFQ, round robin, FIFO, strict priority and the oracle; the DRR family
+// and hier-miDRR answer it from ring occupancy in O(1).  The in-kernel
+// prototype the paper describes guards scheduling with a single mutex; the
+// bridge layer (src/bridge) does the same, the simulator is
+// single-threaded by construction, and the real-time runtime (src/runtime)
+// wraps each shard's scheduler in that shard's mutex (see docs/RUNTIME.md).
 #pragma once
 
 #include <cstdint>
@@ -150,7 +153,9 @@ class Scheduler {
   virtual std::size_t dequeue_burst(IfaceId iface, std::uint64_t byte_budget,
                                     SimTime now, std::vector<Packet>& out);
 
-  /// True if some willing flow has backlog on `iface`.
+  /// True if some willing flow has backlog on `iface`.  The base
+  /// definition scans flows_willing(iface); policies that keep per-interface
+  /// rings of backlogged willing flows override it with ring occupancy.
   virtual bool has_eligible(IfaceId iface) const;
 
   // --- Introspection (tests, fairness verification, reporting) ----------

@@ -49,15 +49,15 @@ void PerIfaceWfqScheduler::on_willing_changed(FlowId flow, IfaceId iface,
 }
 
 void PerIfaceWfqScheduler::on_backlogged(FlowId flow) {
-  for (IfaceId j : preferences().ifaces_of(flow)) {
-    if (j < active_.size()) {
-      active_[j].insert(flow);
-      // A (re-)entering flow starts no earlier than the tag currently in
-      // service; while continuously backlogged its finish tag accumulates
-      // on its own (clamping to V at every pick would starve low-weight
-      // flows, whose candidate tag would be recomputed forward each time).
-      finish_.at(flow, j) = std::max(finish_.at(flow, j), vtime_[j]);
-    }
+  const std::span<const std::uint8_t> row = preferences().willing_row(flow);
+  for (IfaceId j = 0; j < row.size() && j < active_.size(); ++j) {
+    if (row[j] == 0) continue;
+    active_[j].insert(flow);
+    // A (re-)entering flow starts no earlier than the tag currently in
+    // service; while continuously backlogged its finish tag accumulates
+    // on its own (clamping to V at every pick would starve low-weight
+    // flows, whose candidate tag would be recomputed forward each time).
+    finish_.at(flow, j) = std::max(finish_.at(flow, j), vtime_[j]);
   }
 }
 

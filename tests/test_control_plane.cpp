@@ -48,6 +48,16 @@ class RecordingApplier : public ShardApplier {
   std::vector<Op> ops;
 };
 
+/// Applies nothing: for tests whose subject is publication, not shard ops.
+class NullApplier : public ShardApplier {
+ public:
+  void shard_add_flow(std::uint32_t, FlowId, const RtFlowSpec&,
+                      const std::vector<IfaceId>&) override {}
+  void shard_remove_flow(std::uint32_t, FlowId) override {}
+  void shard_set_weight(std::uint32_t, FlowId, double) override {}
+  void shard_set_willing(std::uint32_t, FlowId, IfaceId, bool) override {}
+};
+
 // Topology for most tests: 4 interfaces on 2 shards (0,1,0,1).
 std::vector<std::uint32_t> two_shards() { return {0, 1, 0, 1}; }
 
@@ -566,6 +576,61 @@ TEST(ControlPlaneSwap, TornWindowExistsMidUpdate) {
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->weight, 2.0);
   EXPECT_EQ(entry->willing, std::vector<IfaceId>{0});
+}
+
+TEST(ControlPlaneSwap, MovedMembersStayRoutableThroughEveryPublish) {
+  // A 10k-member class is reweighted back and forth while a one-member
+  // class flips weight (move_member emptying its source class).  A
+  // resolver thread keeps resolving members the way IngressPort does:
+  // enter the critical section, load the directory word, look the class up
+  // in the held snapshot.  Growth before shrink means a registered member
+  // always resolves to a routed class -- the source class stays routed
+  // until the directory re-points, then a second publish retires it.
+  constexpr std::size_t kMembers = 10'000;
+  NullApplier applier;
+  ControlPlane cp(applier, two_shards(), kMembers + 1);
+  ClassSpec spec;
+  spec.willing = {0, 1};
+  const FlowId first = cp.add_members(spec, kMembers);
+  ClassSpec single;
+  single.willing = {0};
+  const FlowId loner = cp.add_flow(single);
+  ASSERT_EQ(loner, first + kMembers);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> resolved{0};
+  std::atomic<std::uint64_t> unroutable{0};
+  std::thread resolver([&] {
+    auto reader = cp.reader();
+    std::uint64_t n = 0;
+    std::uint64_t misses = 0;
+    FlowId f = first;
+    while (!stop.load(std::memory_order_acquire)) {
+      const auto guard = reader.lock();
+      const ClassId cls = cp.class_of(f);
+      if (cls == kInvalidClass || guard->cls(cls) == nullptr) ++misses;
+      ++n;
+      f = f == loner ? first : f + 1;
+    }
+    resolved.store(n);
+    unroutable.store(misses);
+  });
+
+  ClassId cls = cp.class_of(first);
+  for (int i = 0; i < 200; ++i) {
+    const double weight = i % 2 == 0 ? 2.0 : 1.0;
+    cls = cp.reweight_class(cls, weight);
+    cp.set_weight(loner, weight);
+  }
+  stop.store(true, std::memory_order_release);
+  resolver.join();
+  EXPECT_GT(resolved.load(), 0u);
+  EXPECT_EQ(unroutable.load(), 0u)
+      << "a registered member resolved to a class its snapshot did not route";
+  auto reader = cp.reader();
+  const auto guard = reader.lock();
+  EXPECT_EQ(guard->live.size(), 2u) << "emptied source classes retired";
+  EXPECT_EQ(guard->cls(cls)->members, kMembers);
 }
 
 TEST(Rcu, PublishWaitsForInCriticalSectionReader) {

@@ -28,6 +28,9 @@ TEST(Preferences, WillingnessMatrix) {
   EXPECT_TRUE(p.willing(f, wifi));
   EXPECT_EQ(p.ifaces_of(f), (std::vector<IfaceId>{wifi, lte}));
   EXPECT_EQ(p.flows_willing(wifi), (std::vector<FlowId>{f}));
+  const auto row = p.willing_row(f);
+  EXPECT_EQ(std::vector<std::uint8_t>(row.begin(), row.end()),
+            (std::vector<std::uint8_t>{1, 1}));
 }
 
 TEST(Preferences, IdsNeverReused) {
@@ -63,6 +66,10 @@ TEST(Preferences, RemovedInterfaceIsInvisible) {
   EXPECT_FALSE(p.willing(f, j0));
   EXPECT_EQ(p.ifaces_of(f), (std::vector<IfaceId>{j1}));
   EXPECT_EQ(p.ifaces(), (std::vector<IfaceId>{j1}));
+  const auto row = p.willing_row(f);
+  EXPECT_EQ(std::vector<std::uint8_t>(row.begin(), row.end()),
+            (std::vector<std::uint8_t>{0, 1}))
+      << "a removed interface's column of Pi reads unwilling";
 }
 
 TEST(Preferences, WeightsValidated) {
@@ -86,25 +93,16 @@ TEST(Preferences, UnknownIdsThrow) {
   EXPECT_THROW(p.add_flow(1.0, {5}), PreconditionError);
 }
 
-TEST(Preferences, VersionBumpsOnMutation) {
-  Preferences p;
-  const auto v0 = p.version();
-  p.add_interface();
-  EXPECT_GT(p.version(), v0);
-  const auto v1 = p.version();
-  const auto f = p.add_flow(1.0, {0});
-  EXPECT_GT(p.version(), v1);
-  const auto v2 = p.version();
-  p.set_willing(f, 0, false);
-  EXPECT_GT(p.version(), v2);
-}
-
 TEST(Preferences, DefaultNamesGenerated) {
   Preferences p;
   p.add_interface();
   p.add_flow(1.0, {0});
+  p.add_flow(1.0, {0}, "video");
+  p.add_flow(1.0, {0});
   EXPECT_EQ(p.iface_name(0), "iface0");
   EXPECT_EQ(p.flow_name(0), "flow0");
+  EXPECT_EQ(p.flow_name(1), "video") << "a given name is stored as given";
+  EXPECT_EQ(p.flow_name(2), "flow2") << "unnamed flows are named by id";
 }
 
 TEST(Preferences, EmptyWillingRowAllowed) {
@@ -114,6 +112,8 @@ TEST(Preferences, EmptyWillingRowAllowed) {
   p.add_interface();
   const auto f = p.add_flow(1.0, {});
   EXPECT_TRUE(p.ifaces_of(f).empty());
+  EXPECT_EQ(p.willing_row(f).size(), 1u);
+  EXPECT_EQ(p.willing_row(f)[0], 0);
 }
 
 }  // namespace

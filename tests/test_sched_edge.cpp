@@ -1,13 +1,19 @@
 // Edge conditions of the scheduler machinery that the mainline tests do
-// not reach: quantum-cache invalidation, topology changes mid-service,
-// oracle corner cases, and scenario-runner boundary inputs.
+// not reach: quantum renormalization as phi_min moves, topology changes
+// mid-service, oracle corner cases, and scenario-runner boundary inputs.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <vector>
 
 #include "core/scenario.hpp"
 #include "sched/drr.hpp"
 #include "sched/midrr.hpp"
 #include "sched/oracle.hpp"
 #include "sched/wfq.hpp"
+#include "util/rng.hpp"
 
 namespace midrr {
 namespace {
@@ -34,6 +40,55 @@ TEST(QuantumCache, InvalidatesOnReweight) {
   s.set_weight(b, 0.25);
   EXPECT_EQ(s.quantum_of(a), 4000);
   EXPECT_EQ(s.quantum_of(b), 1000);
+}
+
+TEST(MinWeight, MaintainedMinimumMatchesRescanUnderChurn) {
+  // phi_min is maintained incrementally (a count per distinct weight).  A
+  // small weight set makes ties common, so the walk repeatedly removes or
+  // reweights the LAST flow holding the minimum; after every step the
+  // maintained value must equal a full rescan of live weights, and every live
+  // flow's quantum must be normalized by it.
+  constexpr std::uint32_t kBase = 1500;
+  constexpr std::array<double, 4> kWeights{0.5, 1.0, 2.0, 4.0};
+  MiDrrScheduler s(kBase);
+  const IfaceId j = s.add_interface();
+  Rng rng(20260419);
+  const auto draw_weight = [&] {
+    return kWeights[static_cast<std::size_t>(rng.uniform_int(0, 3))];
+  };
+  std::vector<FlowId> live;
+  int last_minimum_left = 0;  // steps where the minimum's last holder left
+  for (int step = 0; step < 20000; ++step) {
+    const double before = s.preferences().min_weight();
+    const auto op = rng.uniform_int(0, 2);
+    if (op == 0 || live.empty()) {
+      live.push_back(s.add_flow({.weight = draw_weight(), .willing = {j}}));
+    } else {
+      const auto idx = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(live.size()) - 1));
+      if (op == 1) {
+        s.remove_flow(live[idx]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
+      } else {
+        s.set_weight(live[idx], draw_weight());
+      }
+    }
+    double rescan = 1.0;
+    if (!live.empty()) {
+      rescan = s.preferences().weight(live.front());
+      for (const FlowId f : live) {
+        rescan = std::min(rescan, s.preferences().weight(f));
+      }
+    }
+    ASSERT_EQ(s.preferences().min_weight(), rescan) << "step " << step;
+    if (!live.empty() && rescan > before) ++last_minimum_left;
+    for (const FlowId f : live) {
+      ASSERT_EQ(s.quantum_of(f),
+                std::llround(s.preferences().weight(f) / rescan * kBase))
+          << "flow " << f << " at step " << step;
+    }
+  }
+  EXPECT_GT(last_minimum_left, 100) << "the walk must retire the minimum often";
 }
 
 TEST(MiDrrEdge, WillingnessFlipDuringActiveTurn) {

@@ -3,7 +3,9 @@
 //   * a dequeued packet's flow is always willing on that interface,
 //   * per-flow FIFO order is preserved,
 //   * bytes are conserved (enqueued == dequeued + backlog + dropped),
-//   * has_eligible() is consistent with what dequeue() returns,
+//   * has_eligible() is consistent with what dequeue() returns, and equals
+//     its base definition (some willing flow has backlog) on every
+//     interface slot, which the DRR family answers from ring occupancy,
 //   * churn (flow/interface add/remove, willingness flips) never corrupts
 //     the scheduler.
 #include <gtest/gtest.h>
@@ -53,8 +55,21 @@ TEST_P(SchedulerStressTest, RandomOperationSequenceKeepsInvariants) {
   };
   for (int i = 0; i < 4; ++i) add_flow();
 
+  const auto base_eligible = [&](IfaceId j) {
+    const Preferences& prefs = sched->preferences();
+    if (!prefs.iface_exists(j)) return false;
+    for (const FlowId f : prefs.flows_willing(j)) {
+      if (sched->backlog_packets(f) > 0) return true;
+    }
+    return false;
+  };
+
   std::uint64_t ops = 0;
   for (int step = 0; step < 4000; ++step) {
+    for (IfaceId j = 0; j < sched->preferences().iface_slots(); ++j) {
+      ASSERT_EQ(sched->has_eligible(j), base_eligible(j))
+          << "iface " << j << " before step " << step;
+    }
     const auto op = rng.uniform_int(0, 99);
     ++ops;
     if (op < 40) {  // enqueue
