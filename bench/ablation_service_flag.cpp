@@ -16,6 +16,7 @@
 #include "fairness/maxmin.hpp"
 #include "sched/midrr.hpp"
 #include "sim/link.hpp"
+#include "util/indexed_name.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -35,7 +36,7 @@ Instance random_instance(std::uint64_t seed) {
   std::vector<std::string> iface_names;
   for (std::size_t j = 0; j < m; ++j) {
     const double cap = rng.uniform(1.0, 12.0);
-    iface_names.push_back("if" + std::to_string(j));
+    iface_names.push_back(indexed_name("if", j));
     inst.scenario.interface(iface_names.back(), RateProfile(mbps(cap)));
     inst.input.capacities_bps.push_back(mbps(cap));
   }
@@ -50,7 +51,7 @@ Instance random_instance(std::uint64_t seed) {
     const double w = wc[static_cast<std::size_t>(rng.uniform_int(0, 3))];
     inst.input.weights.push_back(w);
     inst.input.willing.push_back(row);
-    inst.scenario.backlogged_flow("f" + std::to_string(i), w, willing);
+    inst.scenario.backlogged_flow(indexed_name("f", i), w, willing);
   }
   inst.input.weights.push_back(1.0);
   inst.input.willing.emplace_back(m, true);

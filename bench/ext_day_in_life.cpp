@@ -12,6 +12,7 @@
 #include "bench/common.hpp"
 #include "core/scenario.hpp"
 #include "trace/smartphone.hpp"
+#include "util/indexed_name.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -66,7 +67,7 @@ Built build_scenario(SimTime horizon) {
     // (the two links sum to 9 Mb/s, so peaks overload the system).
     const auto volume = static_cast<std::uint64_t>(
         std::max(10'000.0, to_seconds(session.duration) * 2.5e6 / 8.0));
-    built.scenario.backlogged_flow("s" + std::to_string(index), weight,
+    built.scenario.backlogged_flow(indexed_name("s", index), weight,
                                    ifaces, volume, 1500, session.start);
     ++index;
   }

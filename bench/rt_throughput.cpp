@@ -48,6 +48,7 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/slo.hpp"
 #include "telemetry/stage_latency.hpp"
+#include "util/indexed_name.hpp"
 #include "util/json.hpp"
 #include "util/latency_histogram.hpp"
 
@@ -110,7 +111,7 @@ Cell run_cell(std::size_t flows, std::size_t workers, double duration_s,
 
   Runtime runtime(options);
   for (std::size_t j = 0; j < kIfaces; ++j) {
-    runtime.add_interface("if" + std::to_string(j));
+    runtime.add_interface(indexed_name("if", j));
   }
   for (std::size_t i = 0; i < flows; ++i) {
     RtFlowSpec spec;
@@ -198,7 +199,7 @@ OverloadCell run_overload_cell(std::uint64_t shed_bytes, double overload,
   for (std::size_t i = 0; i < kFlows; ++i) {
     RtFlowSpec spec;
     spec.willing.push_back(0);
-    spec.name = "f" + std::to_string(i);
+    spec.name = indexed_name("f", i);
     flows.push_back(runtime.control().add_flow(spec));
   }
   runtime.start();
@@ -279,7 +280,7 @@ AdaptiveCell run_adaptive_cell(std::uint64_t target_p99_ns, double overload,
   for (std::size_t i = 0; i < kFlows; ++i) {
     RtFlowSpec spec;
     spec.willing.push_back(0);
-    spec.name = "f" + std::to_string(i);
+    spec.name = indexed_name("f", i);
     flows.push_back(runtime.control().add_flow(spec));
   }
   runtime.start();
@@ -373,7 +374,7 @@ SloCell run_slo_cell(std::uint64_t target_ns, double overload,
   for (std::size_t i = 0; i < kFlows; ++i) {
     RtFlowSpec spec;
     spec.willing.push_back(0);
-    spec.name = "f" + std::to_string(i);
+    spec.name = indexed_name("f", i);
     runtime.control().add_flow(spec);
   }
   {
@@ -485,7 +486,7 @@ EgressCell run_egress_cell(EgressKind kind, std::size_t max_batch,
   }
   Runtime runtime(options);
   for (std::size_t j = 0; j < kIfaces; ++j) {
-    runtime.add_interface("if" + std::to_string(j));
+    runtime.add_interface(indexed_name("if", j));
   }
   for (std::size_t i = 0; i < kFlows; ++i) {
     RtFlowSpec spec;
@@ -607,7 +608,7 @@ ScaleCell run_scale_cell(std::size_t flows, std::size_t flows_per_class,
 
   Runtime runtime(options);
   for (std::size_t j = 0; j < kIfaces; ++j) {
-    runtime.add_interface("if" + std::to_string(j));
+    runtime.add_interface(indexed_name("if", j));
   }
 
   ScaleCell cell;
@@ -620,7 +621,7 @@ ScaleCell run_scale_cell(std::size_t flows, std::size_t flows_per_class,
     const std::size_t batch = std::min(flows_per_class, flows - i);
     const std::size_t group = i / flows_per_class;
     ClassSpec spec;
-    spec.name = "c" + std::to_string(group);
+    spec.name = indexed_name("c", group);
     spec.willing.push_back(static_cast<IfaceId>(group % kIfaces));
     spec.willing.push_back(static_cast<IfaceId>((group + 1) % kIfaces));
     // Classes intern by (weight, willing, queue capacity); a per-group

@@ -9,6 +9,7 @@
 
 #include "bench/common.hpp"
 #include "core/scenario.hpp"
+#include "util/indexed_name.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -26,7 +27,7 @@ void run_point(const SweepPoint& p, SimDuration burst_opportunity,
   Scenario sc;
   std::vector<std::string> iface_names;
   for (std::size_t j = 0; j < p.ifaces; ++j) {
-    iface_names.push_back("if" + std::to_string(j));
+    iface_names.push_back(indexed_name("if", j));
     sc.interface(iface_names.back(), RateProfile(mbps(10)));
   }
   for (std::size_t i = 0; i < p.flows; ++i) {
@@ -35,7 +36,7 @@ void run_point(const SweepPoint& p, SimDuration burst_opportunity,
       if (rng.coin(0.5)) willing.push_back(iface_names[j]);
     }
     if (willing.empty()) willing.push_back(iface_names[i % p.ifaces]);
-    sc.backlogged_flow("f" + std::to_string(i), 1.0, willing);
+    sc.backlogged_flow(indexed_name("f", i), 1.0, willing);
   }
 
   const SimTime sim_duration = 20 * kSecond;

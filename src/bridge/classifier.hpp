@@ -39,10 +39,12 @@ struct FiveTupleHash {
 
 /// One classification rule; unset fields match anything.
 struct ClassifierRule {
-  std::optional<net::IpProto> proto;
-  std::optional<std::uint16_t> src_port;
-  std::optional<std::uint16_t> dst_port;
-  std::optional<net::Ipv4Address> dst_ip;
+  // Every field has an initializer, so a designated-initializer rule names
+  // only the fields it matches on.
+  std::optional<net::IpProto> proto{};
+  std::optional<std::uint16_t> src_port{};
+  std::optional<std::uint16_t> dst_port{};
+  std::optional<net::Ipv4Address> dst_ip{};
   FlowId flow = kInvalidFlow;
 
   bool matches(const FiveTuple& t) const;

@@ -1,4 +1,5 @@
-// A second, independent weighted max-min solver: bottleneck-set iteration.
+// The test oracle for solve_max_min: bottleneck-set iteration by brute
+// force.
 //
 // At each step, consider every non-empty subset S of the remaining
 // interfaces and the flows *confined* to S (all their willing interfaces
@@ -11,10 +12,12 @@
 // that level; S's capacity is exactly consumed by them, both are removed,
 // and the iteration continues (Megiddo 1974's lexicographic argument).
 //
-// Exponential in the interface count (fine for m <= ~16, the paper's
-// range) but entirely different machinery from the water-filling /
-// max-flow solver in maxmin.hpp -- the two cross-validate each other in
-// tests/test_solver_crosscheck.cpp over thousands of random instances.
+// solve_max_min runs the same stages but finds each bottleneck with
+// Dinkelbach's iteration on a max-flow.  This oracle enumerates all 2^m
+// subsets instead and shares none of its solving code, so it is
+// exponential in the interface count and capped at 20.  tests/test_solver_crosscheck.cpp
+// holds the two to 1e-12 of the total capacity over thousands of random
+// instances; only tests call it.
 #pragma once
 
 #include "fairness/maxmin.hpp"

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "util/assert.hpp"
+#include "util/indexed_name.hpp"
 
 namespace midrr::fair {
 
@@ -179,14 +180,14 @@ std::string format_clusters(const ClusterAnalysis& analysis,
       if (k > 0) out << ',';
       const std::size_t i = c.flows[k];
       out << (i < flow_names.size() ? flow_names[i]
-                                    : "f" + std::to_string(i));
+                                    : indexed_name("f", i));
     }
     out << " | ";
     for (std::size_t k = 0; k < c.ifaces.size(); ++k) {
       if (k > 0) out << ',';
       const std::size_t j = c.ifaces[k];
       out << (j < iface_names.size() ? iface_names[j]
-                                     : "if" + std::to_string(j));
+                                     : indexed_name("if", j));
     }
     out << "} @";
     out << c.normalized_rate / 1e6 << "Mb/s";

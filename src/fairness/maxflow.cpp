@@ -8,8 +8,8 @@
 
 namespace midrr::fair {
 
-MaxFlowGraph::MaxFlowGraph(std::size_t node_count, double eps)
-    : eps_(eps), adj_(node_count), level_(node_count), iter_(node_count) {}
+MaxFlowGraph::MaxFlowGraph(std::size_t node_count)
+    : adj_(node_count), level_(node_count), iter_(node_count) {}
 
 std::size_t MaxFlowGraph::add_edge(std::size_t u, std::size_t v,
                                    double capacity) {
@@ -18,7 +18,6 @@ std::size_t MaxFlowGraph::add_edge(std::size_t u, std::size_t v,
   adj_[u].push_back(Edge{v, capacity, adj_[v].size()});
   adj_[v].push_back(Edge{u, 0.0, adj_[u].size() - 1});
   edge_index_.emplace_back(u, adj_[u].size() - 1);
-  original_cap_.push_back(capacity);
   return edge_index_.size() - 1;
 }
 
@@ -31,7 +30,7 @@ bool MaxFlowGraph::bfs(std::size_t s, std::size_t t) {
     const std::size_t v = q.front();
     q.pop();
     for (const Edge& e : adj_[v]) {
-      if (e.cap > eps_ && level_[e.to] < 0) {
+      if (e.cap > 0.0 && level_[e.to] < 0) {
         level_[e.to] = level_[v] + 1;
         q.push(e.to);
       }
@@ -44,9 +43,9 @@ double MaxFlowGraph::dfs(std::size_t v, std::size_t t, double pushed) {
   if (v == t) return pushed;
   for (std::size_t& i = iter_[v]; i < adj_[v].size(); ++i) {
     Edge& e = adj_[v][i];
-    if (e.cap > eps_ && level_[v] < level_[e.to]) {
+    if (e.cap > 0.0 && level_[v] < level_[e.to]) {
       const double d = dfs(e.to, t, std::min(pushed, e.cap));
-      if (d > eps_) {
+      if (d > 0.0) {
         e.cap -= d;
         adj_[e.to][e.rev].cap += d;
         return d;
@@ -62,7 +61,7 @@ double MaxFlowGraph::solve(std::size_t s, std::size_t t) {
   while (bfs(s, t)) {
     std::fill(iter_.begin(), iter_.end(), std::size_t{0});
     double f;
-    while ((f = dfs(s, t, std::numeric_limits<double>::infinity())) > eps_) {
+    while ((f = dfs(s, t, std::numeric_limits<double>::infinity())) > 0.0) {
       flow += f;
     }
   }
@@ -72,26 +71,29 @@ double MaxFlowGraph::solve(std::size_t s, std::size_t t) {
 double MaxFlowGraph::flow_on(std::size_t edge_id) const {
   MIDRR_REQUIRE(edge_id < edge_index_.size(), "unknown edge id");
   const auto [node, idx] = edge_index_[edge_id];
-  return original_cap_[edge_id] - adj_[node][idx].cap;
+  // The reverse edge's residual is the net flow, with no cancellation
+  // against a large (or infinite) forward capacity.
+  const Edge& e = adj_[node][idx];
+  return adj_[e.to][e.rev].cap;
 }
 
-bool MaxFlowGraph::residual_reachable(std::size_t from, std::size_t to) const {
+std::vector<bool> MaxFlowGraph::source_side(std::size_t s) const {
+  MIDRR_REQUIRE(s < adj_.size(), "terminal OOB");
   std::vector<bool> seen(adj_.size(), false);
   std::queue<std::size_t> q;
-  seen[from] = true;
-  q.push(from);
+  seen[s] = true;
+  q.push(s);
   while (!q.empty()) {
     const std::size_t v = q.front();
     q.pop();
-    if (v == to) return true;
     for (const Edge& e : adj_[v]) {
-      if (e.cap > eps_ && !seen[e.to]) {
+      if (e.cap > 0.0 && !seen[e.to]) {
         seen[e.to] = true;
         q.push(e.to);
       }
     }
   }
-  return false;
+  return seen;
 }
 
 }  // namespace midrr::fair

@@ -1,9 +1,12 @@
 // Dinic's maximum-flow algorithm over double-valued capacities.
 //
-// Used by the max-min reference solver for its feasibility oracle.  The
-// graphs here are tiny (flows + interfaces + 2 nodes), so numeric epsilon
-// handling matters more than asymptotics: residual capacities below `eps`
-// are treated as saturated.
+// Used by the max-min solver, both to find bottleneck interface sets (the
+// source side of a minimum cut) and to split the final rates over
+// interfaces.  It needs no tolerance: an augmentation pushes exactly the
+// residual it read on its bottleneck edge, so that edge ends at exactly
+// zero, and Dinic's bounds on phases and augmentations hold in floating
+// point as they do over the reals.  A capacity may be +infinity as long as
+// every source-to-sink path also crosses a finite edge.
 #pragma once
 
 #include <cstddef>
@@ -13,7 +16,7 @@ namespace midrr::fair {
 
 class MaxFlowGraph {
  public:
-  explicit MaxFlowGraph(std::size_t node_count, double eps = 1e-9);
+  explicit MaxFlowGraph(std::size_t node_count);
 
   /// Adds a directed edge u -> v with the given capacity; returns an edge
   /// id usable with flow_on() after solving.
@@ -25,9 +28,10 @@ class MaxFlowGraph {
   /// Flow pushed over the edge returned by add_edge.
   double flow_on(std::size_t edge_id) const;
 
-  /// Residual reachability from `from` (after solve): true if any
-  /// augmenting path with residual capacity > eps exists to `to`.
-  bool residual_reachable(std::size_t from, std::size_t to) const;
+  /// Nodes reachable from `s` over edges with positive residual capacity
+  /// (after solve): the source side of the minimum cut that lies inside
+  /// every other minimum cut's source side.
+  std::vector<bool> source_side(std::size_t s) const;
 
  private:
   struct Edge {
@@ -39,12 +43,10 @@ class MaxFlowGraph {
   bool bfs(std::size_t s, std::size_t t);
   double dfs(std::size_t v, std::size_t t, double pushed);
 
-  double eps_;
   std::vector<std::vector<Edge>> adj_;
   std::vector<int> level_;
   std::vector<std::size_t> iter_;
   std::vector<std::pair<std::size_t, std::size_t>> edge_index_;  // (node, idx)
-  std::vector<double> original_cap_;
 };
 
 }  // namespace midrr::fair

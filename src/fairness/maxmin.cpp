@@ -11,45 +11,38 @@ namespace midrr::fair {
 
 namespace {
 
-/// Builds the feasibility max-flow for the given demands and returns
-/// (achieved flow, graph, flow->iface edge ids).
-struct FeasibilityRun {
-  double achieved = 0.0;
-  double demand_total = 0.0;
-  std::vector<std::vector<std::size_t>> flow_iface_edges;
-};
-
-FeasibilityRun run_feasibility(const MaxMinInput& in,
-                               const std::vector<double>& demands,
-                               std::vector<std::vector<double>>* alloc_out) {
+/// Routes demands d over the willingness graph at capacities c,
+///
+///      source --(d_i)--> flow_i --(inf, if pi_ij)--> iface_j --(c_j)--> sink
+///
+/// with flow_i at node 1 + i and iface_j at node 1 + n + j, and returns the
+/// nodes on the source side of the minimum cut.  A flow on that side has
+/// every willing interface there too.  If `alloc_out` is set it receives
+/// the split r_ij of the maximum flow.
+std::vector<bool> run_feasibility(const MaxMinInput& in,
+                                  const std::vector<double>& demands,
+                                  const std::vector<double>& capacities,
+                                  std::vector<std::vector<double>>* alloc_out) {
   const std::size_t n = in.flow_count();
   const std::size_t m = in.iface_count();
   const std::size_t source = 0;
   const std::size_t sink = n + m + 1;
   MaxFlowGraph g(n + m + 2);
 
-  FeasibilityRun run;
-  std::vector<std::size_t> demand_edges(n);
-  run.flow_iface_edges.assign(n, {});
+  std::vector<std::vector<std::size_t>> flow_iface_edges(n);
   for (std::size_t i = 0; i < n; ++i) {
-    demand_edges[i] = g.add_edge(source, 1 + i, demands[i]);
-    run.demand_total += demands[i];
+    g.add_edge(source, 1 + i, demands[i]);
     for (std::size_t j = 0; j < m; ++j) {
       if (in.willing[i][j]) {
-        // Effectively unbounded (flow through this edge cannot exceed the
-        // source edge's demand), but kept at the problem's own scale so
-        // flow_on() does not lose the flow value to cancellation against a
-        // huge capacity.
-        run.flow_iface_edges[i].push_back(
-            g.add_edge(1 + i, 1 + n + j, demands[i]));
+        flow_iface_edges[i].push_back(g.add_edge(
+            1 + i, 1 + n + j, std::numeric_limits<double>::infinity()));
       }
     }
   }
   for (std::size_t j = 0; j < m; ++j) {
-    g.add_edge(1 + n + j, sink, in.capacities_bps[j]);
+    g.add_edge(1 + n + j, sink, capacities[j]);
   }
-
-  run.achieved = g.solve(source, sink);
+  g.solve(source, sink);
 
   if (alloc_out != nullptr) {
     alloc_out->assign(n, std::vector<double>(m, 0.0));
@@ -57,12 +50,12 @@ FeasibilityRun run_feasibility(const MaxMinInput& in,
       std::size_t k = 0;
       for (std::size_t j = 0; j < m; ++j) {
         if (in.willing[i][j]) {
-          (*alloc_out)[i][j] = g.flow_on(run.flow_iface_edges[i][k++]);
+          (*alloc_out)[i][j] = g.flow_on(flow_iface_edges[i][k++]);
         }
       }
     }
   }
-  return run;
+  return g.source_side(source);
 }
 
 }  // namespace
@@ -89,17 +82,6 @@ double MaxMinResult::total_rate_bps() const {
   return total;
 }
 
-bool demands_feasible(const MaxMinInput& input,
-                      const std::vector<double>& demands_bps) {
-  input.validate();
-  MIDRR_REQUIRE(demands_bps.size() == input.flow_count(),
-                "demand vector size mismatch");
-  double scale = 1.0;
-  for (double c : input.capacities_bps) scale += c;
-  const auto run = run_feasibility(input, demands_bps, nullptr);
-  return run.achieved >= run.demand_total - 1e-9 * scale;
-}
-
 MaxMinResult solve_max_min(const MaxMinInput& input) {
   input.validate();
   const std::size_t n = input.flow_count();
@@ -108,99 +90,84 @@ MaxMinResult solve_max_min(const MaxMinInput& input) {
   MaxMinResult result;
   result.rates_bps.assign(n, 0.0);
   result.levels.assign(n, 0.0);
-  result.alloc_bps.assign(n, std::vector<double>(m, 0.0));
-  if (n == 0) return result;
 
-  double capacity_total = 0.0;
-  for (double c : input.capacities_bps) capacity_total += c;
-  const double eps_feas = 1e-9 * (capacity_total + 1.0);
-  const double grow_step = 1e-6 * (capacity_total + 1.0);
-
-  double min_weight = std::numeric_limits<double>::infinity();
-  for (double w : input.weights) min_weight = std::min(min_weight, w);
-
-  std::vector<bool> frozen(n, false);
-  std::vector<double> demands(n, 0.0);
-
-  const auto feasible_at = [&](double t) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!frozen[i]) demands[i] = input.weights[i] * t;
-    }
-    const auto run = run_feasibility(input, demands, nullptr);
-    return run.achieved >= run.demand_total - eps_feas;
-  };
-
-  double t = 0.0;
-  std::size_t remaining = n;
-  std::size_t stage_guard = 0;
-  while (remaining > 0) {
-    MIDRR_ASSERT(++stage_guard <= n + 2, "water-filling failed to converge");
-
-    // Binary search the largest feasible common level t* >= t.
-    double lo = t;
-    double hi = capacity_total / min_weight + 1.0;
-    MIDRR_ASSERT(feasible_at(lo), "current level became infeasible");
-    if (feasible_at(hi)) {
-      lo = hi;  // unconstrained (can only happen with zero demand growth)
-    } else {
-      for (int iter = 0; iter < 100; ++iter) {
-        const double mid = 0.5 * (lo + hi);
-        if (feasible_at(mid)) {
-          lo = mid;
-        } else {
-          hi = mid;
-        }
-      }
-    }
-    // The bisection accepts levels whose total shortfall is within
-    // eps_feas, so `lo` can overshoot the true bottleneck by a hair.  Pull
-    // the pinned level back just enough that the frozen demands are
-    // strictly feasible -- otherwise every later-stage feasibility probe
-    // inherits an irreducible shortfall and sits on a tolerance razor edge.
-    double unfrozen_weight = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!frozen[i]) unfrozen_weight += input.weights[i];
-    }
-    const double t_star =
-        std::max(t, lo - 2.0 * eps_feas / std::max(unfrozen_weight, 1e-300));
-
-    // Pin demands at t*, then ask per unfrozen flow: can it individually
-    // grow past t*?  Those that cannot are the bottlenecked set.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!frozen[i]) demands[i] = input.weights[i] * t_star;
-    }
-    std::vector<std::size_t> newly_frozen;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (frozen[i]) continue;
-      const double saved = demands[i];
-      demands[i] = saved + grow_step;
-      const auto run = run_feasibility(input, demands, nullptr);
-      // The pinned level t* may overshoot the true bottleneck by up to the
-      // binary-search tolerance, leaving a tiny unavoidable shortfall; only
-      // treat the flow as frozen if it failed to absorb a meaningful part
-      // of the probe step.
-      const bool growable = run.achieved >= run.demand_total - grow_step / 2;
-      demands[i] = saved;
-      if (!growable) newly_frozen.push_back(i);
-    }
-    if (newly_frozen.empty()) {
-      // Numerical fallback: freeze everything at t*.
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!frozen[i]) newly_frozen.push_back(i);
-      }
-    }
-    for (std::size_t i : newly_frozen) {
-      frozen[i] = true;
-      result.rates_bps[i] = input.weights[i] * t_star;
-      result.levels[i] = t_star;
-      --remaining;
-    }
-    t = t_star;
+  // A retired interface stays in the graph at zero capacity.
+  std::vector<double> capacity = input.capacities_bps;
+  std::vector<bool> live(m, true);
+  // A flow willing on no interface freezes at zero before the first stage.
+  std::vector<bool> frozen(n);
+  std::size_t remaining = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::vector<bool>& row = input.willing[i];
+    frozen[i] = std::find(row.begin(), row.end(), true) == row.end();
+    if (!frozen[i]) ++remaining;
   }
 
-  // One final feasibility run at the converged rates yields a valid split.
-  for (std::size_t i = 0; i < n; ++i) demands[i] = result.rates_bps[i];
-  run_feasibility(input, demands, &result.alloc_bps);
+  // An unfrozen flow is confined to S if all its live interfaces lie in S.
+  const auto confined = [&](std::size_t i, const std::vector<bool>& s) {
+    if (frozen[i]) return false;
+    for (std::size_t j = 0; j < m; ++j) {
+      if (live[j] && input.willing[i][j] && !s[j]) return false;
+    }
+    return true;
+  };
+  // level(S) = C(S) / W(flows confined to S); +inf if S confines none.
+  const auto level_of = [&](const std::vector<bool>& s) {
+    double cap = 0.0;
+    double weight = 0.0;
+    for (std::size_t j = 0; j < m; ++j) {
+      if (s[j]) cap += capacity[j];
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (confined(i, s)) weight += input.weights[i];
+    }
+    return weight > 0.0 ? cap / weight
+                        : std::numeric_limits<double>::infinity();
+  };
+
+  std::vector<double> demands(n, 0.0);
+  while (remaining > 0) {
+    // Dinkelbach's iteration for the bottleneck min_S level(S): offer each
+    // unfrozen flow phi_i * level(S); the minimum cut's source side is the
+    // S' minimising C(S') - level(S) * W(S'), which is negative exactly
+    // when level(S') < level(S).  The levels strictly fall, so this ends,
+    // and at the end no set has a lower level than S.
+    std::vector<bool> bottleneck = live;
+    double level = level_of(bottleneck);
+    for (;;) {
+      for (std::size_t i = 0; i < n; ++i) {
+        demands[i] = frozen[i] ? 0.0 : input.weights[i] * level;
+      }
+      const std::vector<bool> side =
+          run_feasibility(input, demands, capacity, nullptr);
+      std::vector<bool> cut(m);
+      for (std::size_t j = 0; j < m; ++j) cut[j] = live[j] && side[1 + n + j];
+      const double cut_level = level_of(cut);
+      if (cut_level >= level) break;
+      bottleneck = std::move(cut);
+      level = cut_level;
+    }
+
+    // The confined flows can do no better and every other flow no worse
+    // (Megiddo 1974): freeze them at the level and retire the set.
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!confined(i, bottleneck)) continue;
+      frozen[i] = true;
+      result.rates_bps[i] = input.weights[i] * level;
+      result.levels[i] = level;
+      --remaining;
+    }
+    for (std::size_t j = 0; j < m; ++j) {
+      if (bottleneck[j]) {
+        live[j] = false;
+        capacity[j] = 0.0;
+      }
+    }
+  }
+
+  // One final max-flow at the converged rates yields a valid split.
+  run_feasibility(input, result.rates_bps, input.capacities_bps,
+                  &result.alloc_bps);
   return result;
 }
 

@@ -299,7 +299,7 @@ void Supervisor::replay_clustering(SimTime now) {
     // Quarantined flows (no surviving willing interface) leave the
     // program; their rate is zero by construction, not a violation.
     if (!any_live) continue;
-    input.weights.push_back(flow.weight);
+    input.weights.push_back(flow.solver_weight());
     input.willing.push_back(std::move(willing));
   }
   if (input.weights.empty()) return;

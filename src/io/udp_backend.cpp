@@ -123,8 +123,8 @@ EgressResult UdpBackend::send_burst(IfaceId iface,
   }
 
   // --- Flush in max_batch chunks; stop at the first pushback -------------
+  // Whatever stays unsent is requeued, unless a hard error set drop_rest.
   std::size_t done = 0;
-  bool requeue_rest = false;
   bool drop_rest = false;
   while (done < msg_count) {
     const unsigned int chunk = static_cast<unsigned int>(
@@ -132,18 +132,13 @@ EgressResult UdpBackend::send_burst(IfaceId iface,
     const int rc = api().send_many(st.fd, st.msgs.data() + done, chunk);
     st.syscalls.fetch_add(1, std::memory_order_relaxed);
     if (rc < 0) {
-      if (transient_errno(errno)) {
-        requeue_rest = true;
-      } else {
+      if (!transient_errno(errno)) {
         st.send_errors.fetch_add(1, std::memory_order_relaxed);
         drop_rest = true;
       }
       break;
     }
-    if (rc == 0) {  // defensive: no progress must not spin
-      requeue_rest = true;
-      break;
-    }
+    if (rc == 0) break;  // defensive: no progress must not spin
     if (batch_hist_ != nullptr) {
       batch_hist_->record(static_cast<std::uint64_t>(rc));
     }
@@ -151,7 +146,6 @@ EgressResult UdpBackend::send_burst(IfaceId iface,
     if (static_cast<unsigned int>(rc) < chunk) {
       // Partial return: the kernel took [0..rc) and stopped; the tail is
       // transient pushback, exactly like EAGAIN on the next call.
-      requeue_rest = true;
       break;
     }
   }

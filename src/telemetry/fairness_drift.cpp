@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "fairness/maxmin.hpp"
+#include "util/indexed_name.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
 
@@ -13,7 +14,7 @@ namespace midrr::telemetry {
 namespace {
 
 std::string flow_label(const FairnessFlowSample& flow) {
-  return flow.name.empty() ? "f" + std::to_string(flow.id) : flow.name;
+  return flow.name.empty() ? indexed_name("f", flow.id) : flow.name;
 }
 
 }  // namespace
@@ -131,14 +132,7 @@ void FairnessDriftSampler::sample_once() {
     input.weights.reserve(joined.size());
     input.willing.reserve(joined.size());
     for (const Joined& j : joined) {
-      // A class row represents `members` flows sharing one phi: it claims
-      // weight phi x members in the reference program, so the solve stays
-      // O(classes) while preserving exactly the rates a per-flow program
-      // would hand the members in aggregate.
-      const double base = j.now->weight > 0.0 ? j.now->weight : 1.0;
-      const double members =
-          j.now->members > 0 ? static_cast<double>(j.now->members) : 1.0;
-      input.weights.push_back(base * members);
+      input.weights.push_back(j.now->solver_weight());
       std::vector<bool> row(iface_count, false);
       for (std::size_t k = 0; k < iface_count && k < j.now->willing.size();
            ++k) {

@@ -20,11 +20,12 @@
 // 10%); per-interface-WFQ-style drift shows up as a persistent spread.
 //
 // Under the class-aggregated runtime every sample row is a FLOW CLASS, so
-// one solver run costs O(classes x interfaces) no matter how many member
-// flows are registered: a class enters the reference program with weight
-// phi x members, its measured rate is the members' summed service, and the
-// exported ratio compares aggregate to aggregate (which equals the
-// per-member comparison, both sides dividing by the same member count).
+// the solver sees one row per class (see maxmin.hpp for its cost) no
+// matter how many member flows are registered: a class enters the
+// reference program at FairnessFlowSample::solver_weight (phi x members),
+// its measured rate is the members' summed service, and the exported ratio
+// compares aggregate to aggregate (which equals the per-member comparison,
+// both sides dividing by the same member count).
 // Per-member rate gauges expand lazily -- only for labeled rows that
 // actually aggregate more than one flow.
 // Caveats: flows must be backlogged for "actual" to be meaningful (an idle
@@ -61,6 +62,14 @@ struct FairnessFlowSample {
   std::uint64_t members = 1;      ///< flows aggregated into this row
   std::vector<bool> willing;      ///< by global IfaceId
   std::uint64_t sent_bytes = 0;   ///< cumulative, summed over members
+
+  /// The row's weight in the reference program: phi x members, so a class
+  /// row receives exactly the summed rate a per-flow program would give
+  /// its members.  An unset weight counts as 1, an unset count as 1.
+  double solver_weight() const {
+    return (weight > 0.0 ? weight : 1.0) *
+           static_cast<double>(members > 0 ? members : 1);
+  }
 };
 
 /// One instant's (Pi, phi, C) + service state.

@@ -461,8 +461,7 @@ TEST(ControlPlane, IfaceDownFlipsWillingOnAStillHostingShard) {
 TEST(ControlPlane, IfaceDownIsIdempotentAndValidated) {
   RecordingApplier applier;
   ControlPlane cp(applier, two_shards(), 16);
-  RtFlowSpec spec;
-  spec.willing = {0};
+  RtFlowSpec spec{.willing = {0}};
   cp.add_flow(spec);
   EXPECT_THROW(cp.set_iface_down(9, true), PreconditionError);
   cp.set_iface_down(0, true);
@@ -477,8 +476,7 @@ TEST(ControlPlane, FlowsAddedWhileIfaceIsDownRouteAroundIt) {
   RecordingApplier applier;
   ControlPlane cp(applier, two_shards(), 16);
   cp.set_iface_down(0, true);
-  RtFlowSpec spec;
-  spec.willing = {0, 1};
+  RtFlowSpec spec{.willing = {0, 1}};
   const FlowId f = cp.add_flow(spec);
   ASSERT_EQ(applier.ops.size(), 1u);
   EXPECT_EQ(applier.ops[0].kind, "add");
@@ -491,8 +489,7 @@ TEST(ControlPlane, FlowsAddedWhileIfaceIsDownRouteAroundIt) {
 TEST(ControlPlane, LiveFlowsScansTheDirectory) {
   RecordingApplier applier;
   ControlPlane cp(applier, two_shards(), 16);
-  RtFlowSpec spec;
-  spec.willing = {0};
+  RtFlowSpec spec{.willing = {0}};
   const FlowId a = cp.add_flow(spec);
   const FlowId b = cp.add_flow(spec);
   const FlowId c = cp.add_flow(spec);
@@ -513,9 +510,7 @@ TEST(ControlPlaneSwap, ReadersNeverSeeATornConfiguration) {
   // doubles as the data-race check on the RCU cell.
   RecordingApplier applier;
   ControlPlane cp(applier, two_shards(), 4);
-  RtFlowSpec spec;
-  spec.weight = 1.0;
-  spec.willing = {0};
+  RtFlowSpec spec{.weight = 1.0, .willing = {0}};
   const FlowId f = cp.add_flow(spec);
 
   std::atomic<bool> stop{false};
@@ -565,9 +560,7 @@ TEST(ControlPlaneSwap, TornWindowExistsMidUpdate) {
   // intermediate state so the previous test is known to be discriminating.
   RecordingApplier applier;
   ControlPlane cp(applier, two_shards(), 4);
-  RtFlowSpec spec;
-  spec.weight = 1.0;
-  spec.willing = {0};
+  RtFlowSpec spec{.weight = 1.0, .willing = {0}};
   const FlowId f = cp.add_flow(spec);
   cp.set_weight(f, 2.0);
   auto reader = cp.reader();
@@ -589,11 +582,9 @@ TEST(ControlPlaneSwap, MovedMembersStayRoutableThroughEveryPublish) {
   constexpr std::size_t kMembers = 10'000;
   NullApplier applier;
   ControlPlane cp(applier, two_shards(), kMembers + 1);
-  ClassSpec spec;
-  spec.willing = {0, 1};
+  ClassSpec spec{.willing = {0, 1}};
   const FlowId first = cp.add_members(spec, kMembers);
-  ClassSpec single;
-  single.willing = {0};
+  ClassSpec single{.willing = {0}};
   const FlowId loner = cp.add_flow(single);
   ASSERT_EQ(loner, first + kMembers);
 

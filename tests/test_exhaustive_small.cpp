@@ -17,6 +17,7 @@
 
 #include "core/scenario.hpp"
 #include "fairness/maxmin.hpp"
+#include "util/indexed_name.hpp"
 
 namespace midrr {
 namespace {
@@ -52,18 +53,18 @@ TEST_P(ExhaustiveSmallTest, MiDrrMatchesSolverOnEveryPiMatrix) {
     input.capacities_bps = caps;
     Scenario sc;
     for (std::size_t j = 0; j < m; ++j) {
-      sc.interface("if" + std::to_string(j), RateProfile(caps[j]));
+      sc.interface(indexed_name("if", j), RateProfile(caps[j]));
     }
     for (std::size_t i = 0; i < n; ++i) {
       std::vector<bool> row(m);
       std::vector<std::string> willing;
       for (std::size_t j = 0; j < m; ++j) {
         row[j] = (c.mask >> (i * m + j)) & 1u;
-        if (row[j]) willing.push_back("if" + std::to_string(j));
+        if (row[j]) willing.push_back(indexed_name("if", j));
       }
       input.weights.push_back(1.0);
       input.willing.push_back(row);
-      sc.backlogged_flow("f" + std::to_string(i), 1.0, willing);
+      sc.backlogged_flow(indexed_name("f", i), 1.0, willing);
     }
 
     const auto reference = fair::solve_max_min(input);
@@ -101,9 +102,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple(1, 2), std::make_tuple(2, 1),
                       std::make_tuple(2, 2), std::make_tuple(3, 1),
                       std::make_tuple(3, 2)),
-    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
-      return std::to_string(std::get<0>(info.param)) + "flows_" +
-             std::to_string(std::get<1>(info.param)) + "ifaces";
+    [](const ::testing::TestParamInfo<std::tuple<int, int>>& instance) {
+      return std::to_string(std::get<0>(instance.param)) + "flows_" +
+             std::to_string(std::get<1>(instance.param)) + "ifaces";
     });
 
 
@@ -124,18 +125,18 @@ TEST_P(ExhaustiveOracleTest, OracleMatchesSolverOnEveryPiMatrix) {
     input.capacities_bps = caps;
     Scenario sc;
     for (std::size_t j = 0; j < m; ++j) {
-      sc.interface("if" + std::to_string(j), RateProfile(caps[j]));
+      sc.interface(indexed_name("if", j), RateProfile(caps[j]));
     }
     for (std::size_t i = 0; i < n; ++i) {
       std::vector<bool> row(m);
       std::vector<std::string> willing;
       for (std::size_t j = 0; j < m; ++j) {
         row[j] = (c.mask >> (i * m + j)) & 1u;
-        if (row[j]) willing.push_back("if" + std::to_string(j));
+        if (row[j]) willing.push_back(indexed_name("if", j));
       }
       input.weights.push_back(1.0);
       input.willing.push_back(row);
-      sc.backlogged_flow("f" + std::to_string(i), 1.0, willing);
+      sc.backlogged_flow(indexed_name("f", i), 1.0, willing);
     }
     const auto reference = fair::solve_max_min(input);
     ScenarioRunner runner(sc, Policy::kOracle);
@@ -156,9 +157,9 @@ TEST_P(ExhaustiveOracleTest, OracleMatchesSolverOnEveryPiMatrix) {
 INSTANTIATE_TEST_SUITE_P(
     Sizes, ExhaustiveOracleTest,
     ::testing::Values(std::make_tuple(2, 2), std::make_tuple(3, 2)),
-    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
-      return std::to_string(std::get<0>(info.param)) + "flows_" +
-             std::to_string(std::get<1>(info.param)) + "ifaces";
+    [](const ::testing::TestParamInfo<std::tuple<int, int>>& instance) {
+      return std::to_string(std::get<0>(instance.param)) + "flows_" +
+             std::to_string(std::get<1>(instance.param)) + "ifaces";
     });
 
 TEST(ExhaustiveWeighted, TwoByTwoWeightSweep) {

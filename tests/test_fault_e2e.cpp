@@ -32,6 +32,7 @@
 #include "fault/supervisor.hpp"
 #include "runtime/load_generator.hpp"
 #include "runtime/runtime.hpp"
+#include "util/indexed_name.hpp"
 #include "util/time.hpp"
 
 namespace midrr::rt {
@@ -217,7 +218,7 @@ TEST(FaultE2E, OverloadSheddingKeepsJainHighUnderTwoXLoad) {
   std::vector<FlowId> flows;
   for (int i = 0; i < 4; ++i) {
     flows.push_back(runtime.control().add_flow(
-        {.willing = {0}, .name = "f" + std::to_string(i)}));
+        {.willing = {0}, .name = indexed_name("f", i)}));
   }
   runtime.start();
   LoadGeneratorOptions load;
@@ -558,7 +559,7 @@ TEST(AdaptE2E, ClosedLoopHoldsP99AndFairnessThroughAnUnscriptedDroop) {
   std::vector<FlowId> flows;
   for (int i = 0; i < 4; ++i) {
     flows.push_back(runtime.control().add_flow(
-        {.willing = {0, 1}, .name = "f" + std::to_string(i)}));
+        {.willing = {0, 1}, .name = indexed_name("f", i)}));
   }
 
   fault::FaultPlanRecorder recorder(3);
@@ -650,7 +651,7 @@ TEST(AdaptE2E, ClosedLoopHoldsP99AndFairnessThroughAnUnscriptedDroop) {
   rerun.add_interface("if1", RateProfile(mbps(20)));
   for (int i = 0; i < 4; ++i) {
     rerun.control().add_flow(
-        {.willing = {0, 1}, .name = "f" + std::to_string(i)});
+        {.willing = {0, 1}, .name = indexed_name("f", i)});
   }
   fault::AdaptiveController replay_adapt(rerun, aopts);
   rerun.set_capacity_overlay(&replay_adapt);

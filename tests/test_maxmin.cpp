@@ -152,16 +152,6 @@ TEST(MaxMin, ChainTopologyThreeClusters) {
   EXPECT_NEAR(r.rates_bps[2], 5 * kMbps, 1e4);
 }
 
-TEST(MaxMin, DemandsFeasibleOracle) {
-  const auto in = fig1c();
-  EXPECT_TRUE(demands_feasible(in, {0.5 * kMbps, 0.5 * kMbps}));
-  EXPECT_TRUE(demands_feasible(in, {1 * kMbps, 1 * kMbps}));
-  EXPECT_FALSE(demands_feasible(in, {1 * kMbps, 1.1 * kMbps}));
-  // a can take 1.5 only if b accepts 0.5.
-  EXPECT_TRUE(demands_feasible(in, {1.5 * kMbps, 0.5 * kMbps}));
-  EXPECT_FALSE(demands_feasible(in, {1.6 * kMbps, 0.5 * kMbps}));
-}
-
 TEST(MaxMin, LevelsAreMonotoneAcrossClusters) {
   MaxMinInput in;
   in.weights = {1.0, 1.0, 1.0};

@@ -1,7 +1,7 @@
 // Property tests (Theorem 3): for randomized problem instances
 // (n, m, Pi, phi, C), miDRR's long-run empirical rates must converge to the
-// weighted max-min allocation computed by the reference water-filling
-// solver -- while the baselines may not.  Also checks work conservation and
+// weighted max-min allocation computed by the reference solver -- while
+// the baselines may not.  Also checks work conservation and
 // preference enforcement on every instance.
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 
 #include "core/scenario.hpp"
 #include "fairness/maxmin.hpp"
+#include "util/indexed_name.hpp"
 #include "util/rng.hpp"
 
 namespace midrr {
@@ -33,7 +34,7 @@ RandomProblem make_sparse_problem(std::uint64_t seed) {
   std::vector<std::string> iface_names;
   for (std::size_t j = 0; j < m; ++j) {
     const double cap = rng.uniform(1.0, 12.0);
-    iface_names.push_back("if" + std::to_string(j));
+    iface_names.push_back(indexed_name("if", j));
     p.scenario.interface(iface_names.back(), RateProfile(mbps(cap)));
     p.input.capacities_bps.push_back(mbps(cap));
   }
@@ -49,7 +50,7 @@ RandomProblem make_sparse_problem(std::uint64_t seed) {
         weight_choices[static_cast<std::size_t>(rng.uniform_int(0, 3))];
     p.input.weights.push_back(w);
     p.input.willing.push_back(row);
-    p.flow_names.push_back("f" + std::to_string(i));
+    p.flow_names.push_back(indexed_name("f", i));
     p.scenario.backlogged_flow(p.flow_names.back(), w, willing);
   }
   // The aggregator: willing on every interface (it soaks up the leftover
@@ -77,7 +78,7 @@ RandomProblem make_problem(std::uint64_t seed) {
   std::vector<std::string> iface_names;
   for (std::size_t j = 0; j < m; ++j) {
     const double cap = rng.uniform(1.0, 15.0);
-    iface_names.push_back("if" + std::to_string(j));
+    iface_names.push_back(indexed_name("if", j));
     p.scenario.interface(iface_names.back(), RateProfile(mbps(cap)));
     p.input.capacities_bps.push_back(mbps(cap));
   }
@@ -98,7 +99,7 @@ RandomProblem make_problem(std::uint64_t seed) {
         weight_choices[static_cast<std::size_t>(rng.uniform_int(0, 3))];
     p.input.weights.push_back(w);
     p.input.willing.push_back(row);
-    const std::string name = "f" + std::to_string(i);
+    const std::string name = indexed_name("f", i);
     p.flow_names.push_back(name);
     p.scenario.backlogged_flow(name, w, willing);
   }

@@ -160,13 +160,14 @@ INSTANTIATE_TEST_SUITE_P(
                           static_cast<int>(Policy::kFifo),
                           static_cast<int>(Policy::kStrictPriority)),
         ::testing::Values(1u, 2u, 3u, 4u, 5u)),
-    [](const ::testing::TestParamInfo<std::tuple<int, std::uint64_t>>& info) {
+    [](const ::testing::TestParamInfo<std::tuple<int, std::uint64_t>>&
+           instance) {
       std::string name =
-          to_string(static_cast<Policy>(std::get<0>(info.param)));
+          to_string(static_cast<Policy>(std::get<0>(instance.param)));
       for (auto& c : name) {
         if (c == '-') c = '_';
       }
-      return name + "_seed" + std::to_string(std::get<1>(info.param));
+      return name + "_seed" + std::to_string(std::get<1>(instance.param));
     });
 
 }  // namespace

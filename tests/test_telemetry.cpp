@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "fairness/maxmin.hpp"
 #include "runtime/load_generator.hpp"
 #include "runtime/rcu.hpp"
 #include "runtime/runtime.hpp"
@@ -549,6 +550,29 @@ TEST(FairnessDrift, LiveRuntimeStaysWithinTenPercentOfMaxMin) {
       flows_json(runtime.fairness_sample(), sampler.last());
   EXPECT_NE(json.find("\"name\":\"f0\""), std::string::npos);
   EXPECT_NE(json.find("\"jain\""), std::string::npos);
+}
+
+TEST(FairnessDrift, ClassRowSolverWeightIsPhiTimesMembers) {
+  FairnessFlowSample single;
+  single.weight = 2.0;
+  FairnessFlowSample hundred = single;
+  hundred.members = 100;
+  EXPECT_DOUBLE_EQ(single.solver_weight(), 2.0);
+  EXPECT_DOUBLE_EQ(hundred.solver_weight(), 200.0);
+  FairnessFlowSample unset;
+  unset.weight = 0.0;
+  unset.members = 0;
+  EXPECT_DOUBLE_EQ(unset.solver_weight(), 1.0);
+
+  // On one shared link the class takes what its 100 members would take as
+  // separate flows: 100 of every 101 bits.
+  fair::MaxMinInput in;
+  in.capacities_bps = {101e6};
+  in.weights = {single.solver_weight(), hundred.solver_weight()};
+  in.willing = {{true}, {true}};
+  const fair::MaxMinResult r = fair::solve_max_min(in);
+  EXPECT_DOUBLE_EQ(r.rates_bps[0], 1e6);
+  EXPECT_DOUBLE_EQ(r.rates_bps[1], 100e6);
 }
 
 TEST(FairnessDrift, AggregatedClassRowCarriesMemberCountAndPerMemberRate) {
