@@ -33,6 +33,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -563,10 +564,12 @@ EgressCell run_egress_cell(EgressKind kind, std::size_t max_batch,
 
 // Million-flow scale cell: flows register in classes of `flows_per_class`
 // (one ClassSpec, one publish per batch), so the snapshot the control
-// plane publishes is O(classes), not O(flows).  Both sweep cells use the
-// SAME class count (1000) at 100x different flow counts; if publish cost
-// really is O(classes), the single-member publish latency must come out
-// ~equal -- that ratio is the number CI bounds.  RSS is read from
+// plane publishes never grows with flows.  Two sweep cells use the SAME
+// class count (1000) at 100x different flow counts, and a third holds 10x
+// the classes (10k, at 10 flows per class); a one-member publish copies
+// one pointer per class block plus the block it touches, so its latency
+// must come out ~equal across all three -- the two ratios are the numbers
+// CI bounds.  RSS is read from
 // /proc/self/statm before registration, after it, and after the load
 // phase: rss_bytes_per_flow is the marginal footprint of a registered flow
 // (directory slot, queue, class membership), and loaded_rss_bytes_per_flow
@@ -625,7 +628,7 @@ ScaleCell run_scale_cell(std::size_t flows, std::size_t flows_per_class,
     spec.willing.push_back(static_cast<IfaceId>(group % kIfaces));
     spec.willing.push_back(static_cast<IfaceId>((group + 1) % kIfaces));
     // Classes intern by (weight, willing, queue capacity); a per-group
-    // capacity keeps the 1000 groups from collapsing into 4 willing-pairs.
+    // capacity keeps the groups from collapsing into 4 willing-pairs.
     spec.queue_capacity_bytes = 512 * 1024 + group;
     runtime.control().add_members(spec, batch);
   }
@@ -864,12 +867,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Class-aggregation scale sweep: same 1000 classes at 10k and 1M flows.
-  // Registration batches by class, the runtime schedules hmidrr, and the
-  // publish probe measures a one-member delta against the loaded table.
+  // Class-aggregation scale sweep: 1000 classes at 10k and 1M flows, and
+  // 10k classes at 100k flows.  Registration batches by class, the runtime
+  // schedules hmidrr, and the publish probe measures a one-member delta
+  // against the loaded table.
   std::vector<ScaleCell> scale_cells;
   for (const auto& cfg : std::vector<std::pair<std::size_t, std::size_t>>{
-           {10'000, 10}, {1'000'000, 1'000}}) {
+           {10'000, 10}, {100'000, 10}, {1'000'000, 1'000}}) {
     std::cerr << "rt_throughput: scale " << cfg.first << " flows / "
               << cfg.second << " per class..." << std::flush;
     const ScaleCell cell =
@@ -1013,10 +1017,11 @@ int main(int argc, char** argv) {
     json.field("latency_p50_ns", c.p50_ns).field("latency_p99_ns", c.p99_ns)
         .field("duration_s", c.duration_s).end_object();
   }
-  // Equal class counts at 100x different flow counts: the publish-latency
-  // ratio is the evidence that control-plane cost tracks classes, not
-  // flows.  CI bounds the ratio and the per-flow resident bytes, registered
-  // and loaded.
+  // Equal class counts at 100x different flow counts, and 10x the classes
+  // at equal flows per class: the two publish-latency ratios are the
+  // evidence that a delta's cost tracks neither flows nor classes.  CI
+  // bounds both ratios and the per-flow resident bytes, registered and
+  // loaded.
   json.end_array().key("scale_sweep").begin_array();
   for (const ScaleCell& c : scale_cells) {
     json.begin_object().field("flows", c.flows)
@@ -1029,12 +1034,17 @@ int main(int argc, char** argv) {
         .field("dequeued", c.dequeued).field("duration_s", c.duration_s)
         .end_object();
   }
+  // Publish p50 of the cell with `flows` over the 10k-flow, 1000-class
+  // cell's; 0 when either cell is missing.
+  std::map<std::size_t, double> publish_ns;  // by flow count
+  for (const ScaleCell& c : scale_cells) publish_ns[c.flows] = c.publish_p50_ns;
+  const auto publish_ratio = [&publish_ns](std::size_t flows) {
+    const double base = publish_ns[10'000];
+    return base > 0 ? publish_ns[flows] / base : 0.0;
+  };
   json.end_array()
-      .field("scale_publish_ratio",
-             scale_cells.size() == 2 && scale_cells[0].publish_p50_ns > 0
-                 ? scale_cells[1].publish_p50_ns /
-                       scale_cells[0].publish_p50_ns
-                 : 0)
+      .field("scale_publish_ratio", publish_ratio(1'000'000))
+      .field("scale_class_publish_ratio", publish_ratio(100'000))
       .end_object();
 
   std::ofstream out(out_path);

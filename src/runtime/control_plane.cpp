@@ -1,6 +1,7 @@
 #include "runtime/control_plane.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/assert.hpp"
 
@@ -26,15 +27,22 @@ ControlPlane::ControlPlane(ShardApplier& applier,
   MIDRR_REQUIRE(max_flows_ > 0, "max_flows must be positive");
   latest_.iface_count = shard_of_iface_.size();
   latest_.version = 1;
-  publish_locked(clone_locked());
+  publish_locked();
 }
 
-std::unique_ptr<RuntimeSnapshot> ControlPlane::clone_locked() const {
-  return std::make_unique<RuntimeSnapshot>(latest_);
+void ControlPlane::publish_locked() {
+  cell_.publish(std::make_unique<const RuntimeSnapshot>(latest_));
 }
 
-void ControlPlane::publish_locked(std::unique_ptr<RuntimeSnapshot> next) {
-  cell_.publish(std::unique_ptr<const RuntimeSnapshot>(next.release()));
+SnapshotClass& ControlPlane::mutable_class(ClassId cls) {
+  using Block = RuntimeSnapshot::ClassBlock;
+  std::shared_ptr<Block>& block =
+      latest_.blocks_[cls / RuntimeSnapshot::kBlockClasses];
+  // Block pointers are copied and dropped only under mu_ (by publishes and
+  // the snapshots they retire; readers hold raw snapshot pointers), so
+  // use_count is exact: above 1, some published snapshot shares the block.
+  if (block.use_count() > 1) block = std::make_shared<Block>(*block);
+  return (*block)[cls % RuntimeSnapshot::kBlockClasses];
 }
 
 std::uint64_t ControlPlane::version() const {
@@ -87,7 +95,7 @@ RtFlowSpec ControlPlane::spec_of(const SnapshotClass& entry) {
   return spec;
 }
 
-ClassId ControlPlane::intern_locked(const ClassSpec& spec) {
+ClassKey ControlPlane::key_of(const ClassSpec& spec) const {
   MIDRR_REQUIRE(spec.weight > 0.0, "class weight must be positive");
   ClassKey key;
   key.weight = spec.weight;
@@ -95,9 +103,20 @@ ClassId ControlPlane::intern_locked(const ClassSpec& spec) {
   key.queue_capacity_bytes = spec.queue_capacity_bytes;
   normalize_key(key);
   shards_of(key.willing);  // validates: throws on unknown interfaces
+  return key;
+}
+
+ClassId ControlPlane::intern_locked(const ClassKey& key,
+                                    const std::string& name) {
   const ClassId cid = table_.intern(key);
-  if (latest_.classes.size() <= cid) latest_.classes.resize(cid + 1);
-  SnapshotClass& entry = latest_.classes[cid];
+  while (latest_.class_slots() <= cid) {
+    latest_.blocks_.push_back(
+        std::make_shared<RuntimeSnapshot::ClassBlock>());
+  }
+  const SnapshotClass& current = latest_.entry(cid);
+  const bool rename = current.name.empty() && !name.empty();
+  if (current.live && !rename) return cid;  // a join writes nothing here
+  SnapshotClass& entry = mutable_class(cid);
   if (!entry.live) {
     // Fresh mint or revival: (re)build the snapshot entry from the key.
     entry.id = cid;
@@ -109,12 +128,12 @@ ClassId ControlPlane::intern_locked(const ClassSpec& spec) {
     entry.shards = shards_of(live_willing);
     entry.quarantined = entry.shards.empty() && !entry.willing.empty();
   }
-  if (entry.name.empty() && !spec.name.empty()) entry.name = spec.name;
+  if (rename) entry.name = name;
   return cid;
 }
 
 void ControlPlane::refresh_liveness_locked(ClassId cls) {
-  SnapshotClass& entry = latest_.classes[cls];
+  SnapshotClass& entry = mutable_class(cls);
   const bool was_live = entry.live;
   entry.live = entry.members > 0;
   if (entry.live && !was_live) {
@@ -132,23 +151,23 @@ void ControlPlane::refresh_liveness_locked(ClassId cls) {
 
 void ControlPlane::publish_move_locked(ClassId from, ClassId to,
                                        std::span<const FlowId> moved) {
-  SnapshotClass& src = latest_.classes[from];
-  SnapshotClass& dst = latest_.classes[to];
+  mutable_class(to).members += moved.size();
+  SnapshotClass& src = mutable_class(from);
   MIDRR_ASSERT(src.members >= moved.size(), "moving more members than held");
-  dst.members += moved.size();
   src.members -= moved.size();
   // An emptied source leaves the live list but keeps routing until the
   // directory stops naming it.
-  src.retiring = src.members == 0;
+  const bool retiring = src.members == 0;
+  src.retiring = retiring;
   refresh_liveness_locked(to);
   refresh_liveness_locked(from);
   ++latest_.version;
-  publish_locked(clone_locked());
+  publish_locked();  // `src` now points into a published block: dead
   for (const FlowId f : moved) dir_store(f, to);
-  if (src.retiring) {
-    src.retiring = false;
+  if (retiring) {
+    mutable_class(from).retiring = false;
     refresh_liveness_locked(from);
-    publish_locked(clone_locked());
+    publish_locked();
   }
 }
 
@@ -183,34 +202,34 @@ std::vector<FlowId> ControlPlane::members_of(ClassId cls) const {
 FlowId ControlPlane::add_members(const ClassSpec& spec, std::size_t count) {
   MIDRR_REQUIRE(count > 0, "add_members of zero flows");
   std::lock_guard<std::mutex> lock(mu_);
-  const ClassId cid = intern_locked(spec);  // validates weight + interfaces
-  MIDRR_REQUIRE(next_flow_ + count <= max_flows_,
+  const ClassKey key = key_of(spec);  // validates weight + interfaces
+  // Subtracting keeps the bound exact for any count (next_flow_ never
+  // exceeds max_flows_); an addition would wrap near SIZE_MAX.
+  MIDRR_REQUIRE(count <= max_flows_ - next_flow_,
                 "flow arena exhausted (RuntimeOptions::max_flows)");
-  SnapshotClass& entry = latest_.classes[cid];
+  const ClassId cid = intern_locked(key, spec.name);
+  SnapshotClass& entry = mutable_class(cid);  // dead after the publish
   const std::vector<IfaceId> live_willing = live_subset_locked(entry.willing);
   const RtFlowSpec reg = spec_of(entry);
   const FlowId first = next_flow_;
+  std::vector<FlowId> flows(count);
+  std::iota(flows.begin(), flows.end(), first);
 
   // Data plane first: every hosting shard must know a flow before any
-  // producer can route a packet to it.  Per-shard subsets are computed once
-  // for the whole batch.
+  // producer can route a packet to it.  One call per hosting shard carries
+  // the whole batch.
   for (const std::uint32_t s : entry.shards) {
-    const std::vector<IfaceId> subset = willing_in_shard(live_willing, s);
-    for (std::size_t k = 0; k < count; ++k) {
-      applier_.shard_add_flow(s, first + static_cast<FlowId>(k), reg, subset);
-    }
+    applier_.shard_add_flows(s, flows, reg, willing_in_shard(live_willing, s));
   }
   next_flow_ += static_cast<FlowId>(count);
   entry.members += count;
   refresh_liveness_locked(cid);
   ++latest_.version;
-  publish_locked(clone_locked());  // ONE publish for the whole batch
+  publish_locked();  // ONE publish for the whole batch
 
   // Directory last: a producer that resolves flow -> class must find the
   // class in the snapshot it reads.
-  for (std::size_t k = 0; k < count; ++k) {
-    dir_store(first + static_cast<FlowId>(k), cid);
-  }
+  for (const FlowId f : flows) dir_store(f, cid);
   return first;
 }
 
@@ -218,17 +237,16 @@ void ControlPlane::remove_member(FlowId flow) {
   std::lock_guard<std::mutex> lock(mu_);
   const ClassId cid = class_of(flow);
   MIDRR_REQUIRE(cid != kInvalidClass, "removing unknown flow");
-  SnapshotClass& entry = latest_.classes[cid];
 
   // Directory first (producers stop resolving the flow), then the publish
   // bumps the epoch, invalidating cached routes; stragglers already queued
   // get dropped by the fan-in stage.
   dir_clear(flow);
-  const std::vector<std::uint32_t> shards = entry.shards;
-  --entry.members;
+  const std::vector<std::uint32_t> shards = latest_.entry(cid).shards;
+  --mutable_class(cid).members;
   refresh_liveness_locked(cid);
   ++latest_.version;
-  publish_locked(clone_locked());
+  publish_locked();
 
   for (const std::uint32_t s : shards) applier_.shard_remove_flow(s, flow);
 }
@@ -237,11 +255,14 @@ void ControlPlane::move_member(FlowId flow, const ClassSpec& spec) {
   std::lock_guard<std::mutex> lock(mu_);
   const ClassId old_cid = class_of(flow);
   MIDRR_REQUIRE(old_cid != kInvalidClass, "moving unknown flow");
-  const ClassId new_cid = intern_locked(spec);
-  if (new_cid == old_cid) return;  // identical identity: nothing to move
-  // References only AFTER the last intern (it may resize classes).
-  SnapshotClass& oldc = latest_.classes[old_cid];
-  SnapshotClass& newc = latest_.classes[new_cid];
+  const ClassKey key = key_of(spec);
+  // Identical identity: nothing to move, and nothing written (not even a
+  // name) that no publish would carry.
+  if (table_.find(key) == old_cid) return;
+  const ClassId new_cid = intern_locked(key, spec.name);
+  // Read-only views of the working copy, dropped before the publish.
+  const SnapshotClass& oldc = latest_.entry(old_cid);
+  const SnapshotClass& newc = latest_.entry(new_cid);
   const std::vector<IfaceId> old_live = live_subset_locked(oldc.willing);
   const std::vector<IfaceId> new_live = live_subset_locked(newc.willing);
 
@@ -250,8 +271,8 @@ void ControlPlane::move_member(FlowId flow, const ClassSpec& spec) {
   // dropped from old-only shards (after it).
   for (const std::uint32_t s : newc.shards) {
     if (!contains(oldc.shards, s)) {
-      applier_.shard_add_flow(s, flow, spec_of(newc),
-                              willing_in_shard(new_live, s));
+      applier_.shard_add_flows(s, std::span<const FlowId>(&flow, 1),
+                               spec_of(newc), willing_in_shard(new_live, s));
       continue;
     }
     if (newc.weight != oldc.weight) {
@@ -266,31 +287,30 @@ void ControlPlane::move_member(FlowId flow, const ClassSpec& spec) {
   }
 
   const std::vector<std::uint32_t> old_shards = oldc.shards;
+  const std::vector<std::uint32_t> new_shards = newc.shards;
   publish_move_locked(old_cid, new_cid, std::span<const FlowId>(&flow, 1));
 
   for (const std::uint32_t s : old_shards) {
-    if (!contains(latest_.classes[new_cid].shards, s)) {
-      applier_.shard_remove_flow(s, flow);
-    }
+    if (!contains(new_shards, s)) applier_.shard_remove_flow(s, flow);
   }
 }
 
 ClassId ControlPlane::reweight_class(ClassId cls, double weight) {
   MIDRR_REQUIRE(weight > 0.0, "class weight must be positive");
   std::lock_guard<std::mutex> lock(mu_);
-  MIDRR_REQUIRE(cls < latest_.classes.size() && latest_.classes[cls].live,
-                "reweighting unknown class");
-  if (latest_.classes[cls].weight == weight) return cls;
+  MIDRR_REQUIRE(latest_.cls(cls) != nullptr, "reweighting unknown class");
+  if (latest_.entry(cls).weight == weight) return cls;
 
-  ClassSpec spec = spec_of(latest_.classes[cls]);
+  ClassSpec spec = spec_of(latest_.entry(cls));
   spec.weight = weight;
   const std::vector<FlowId> members = members_of(cls);
-  const ClassId target = intern_locked(spec);  // mint, revive, or MERGE
+  // Mint, revive, or MERGE.
+  const ClassId target = intern_locked(key_of(spec), spec.name);
 
   // Same Pi row => same hosting shards; every member's queue survives, only
   // its scheduler weight changes.
   for (const FlowId f : members) {
-    for (const std::uint32_t s : latest_.classes[target].shards) {
+    for (const std::uint32_t s : latest_.entry(target).shards) {
       applier_.shard_set_weight(s, f, weight);
     }
   }
@@ -323,7 +343,7 @@ void ControlPlane::set_weight(FlowId flow, double weight) {
     std::lock_guard<std::mutex> lock(mu_);
     const ClassId cid = class_of(flow);
     MIDRR_REQUIRE(cid != kInvalidClass, "reweighting unknown flow");
-    spec = spec_of(latest_.classes[cid]);
+    spec = spec_of(latest_.entry(cid));
   }
   spec.weight = weight;
   move_member(flow, spec);
@@ -337,7 +357,7 @@ void ControlPlane::set_willing(FlowId flow, IfaceId iface, bool value) {
                   "set_willing for unknown interface");
     const ClassId cid = class_of(flow);
     MIDRR_REQUIRE(cid != kInvalidClass, "set_willing for unknown flow");
-    spec = spec_of(latest_.classes[cid]);
+    spec = spec_of(latest_.entry(cid));
     const bool had = contains(spec.willing, iface);
     if (had == value) return;
     if (value) {
@@ -363,7 +383,7 @@ void ControlPlane::set_iface_down(IfaceId iface, bool down) {
 
   // One directory scan gives every affected class's member list (the only
   // O(max_flows) step; everything else is O(classes) + O(moved members)).
-  std::vector<std::vector<FlowId>> members(latest_.classes.size());
+  std::vector<std::vector<FlowId>> members(latest_.class_slots());
   for (FlowId f = 0; f < next_flow_; ++f) {
     const std::uint32_t v = dir_[f].load(std::memory_order_acquire);
     if (v != 0) members[v - 1].push_back(f);
@@ -377,8 +397,8 @@ void ControlPlane::set_iface_down(IfaceId iface, bool down) {
   const std::uint32_t iface_shard = shard_of_iface_[iface];
 
   for (const ClassId cid : latest_.live) {
-    SnapshotClass& entry = latest_.classes[cid];
-    if (!contains(entry.willing, iface)) continue;
+    if (!contains(latest_.entry(cid).willing, iface)) continue;
+    SnapshotClass& entry = mutable_class(cid);
     const std::vector<IfaceId> live_willing = live_subset_locked(entry.willing);
     const std::vector<std::uint32_t> new_shards = shards_of(live_willing);
 
@@ -386,10 +406,8 @@ void ControlPlane::set_iface_down(IfaceId iface, bool down) {
     // that already knows the flow.
     for (const std::uint32_t s : new_shards) {
       if (!contains(entry.shards, s)) {
-        const std::vector<IfaceId> subset = willing_in_shard(live_willing, s);
-        for (const FlowId f : members[cid]) {
-          applier_.shard_add_flow(s, f, spec_of(entry), subset);
-        }
+        applier_.shard_add_flows(s, members[cid], spec_of(entry),
+                                 willing_in_shard(live_willing, s));
       } else if (s == iface_shard) {
         // The shard hosts the class on both sides of the transition (some
         // OTHER willing interface there is live), so only the transitioning
@@ -414,7 +432,7 @@ void ControlPlane::set_iface_down(IfaceId iface, bool down) {
   }
 
   ++latest_.version;
-  publish_locked(clone_locked());  // ONE publish for the whole transition
+  publish_locked();  // ONE publish for the whole transition
 
   // Shrink side after the publish: producers already stopped routing here;
   // queued packets become counted straggler drops at the shard.
@@ -430,7 +448,7 @@ std::size_t ControlPlane::quarantined_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t n = 0;
   for (const ClassId cid : latest_.live) {
-    const SnapshotClass& entry = latest_.classes[cid];
+    const SnapshotClass& entry = latest_.entry(cid);
     if (entry.quarantined) n += entry.members;
   }
   return n;

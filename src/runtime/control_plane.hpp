@@ -3,10 +3,9 @@
 // Flows sharing one preference row Pi, one weight phi, and one queue bound
 // are interned into a class (flow/class_table.hpp); the published
 // configuration (RuntimeSnapshot) describes CLASSES, not flows, so its size
-// -- and therefore the cost of every publish -- is O(classes x interfaces)
-// no matter how many flows are registered.  Per-flow state shrinks to one
-// lock-free directory word mapping FlowId -> ClassId; producers resolve a
-// packet's route as flow -> class -> hosting shards.
+// never depends on how many flows are registered.  Per-flow state shrinks
+// to one lock-free directory word mapping FlowId -> ClassId; producers
+// resolve a packet's route as flow -> class -> hosting shards.
 //
 // Mutations are CLASS DELTAS (ControlDelta): add members to a class, remove
 // a member, move a member between classes, reweight a whole class.  Each
@@ -15,6 +14,16 @@
 // costs one publish.  The flow-level veneer (add_flow / remove_flow /
 // set_weight / set_willing) is expressed in those deltas, so existing
 // callers keep working while paying class-level publish costs.
+//
+// A publish costs what its delta touched, not the size of the table.  The
+// snapshot keeps its class entries in fixed blocks of
+// RuntimeSnapshot::kBlockClasses that successive snapshots share by
+// reference count: publishing copies one pointer per block (plus the live-id
+// list), and the writer's working copy clones a block only on its first
+// write after that block was published.  Every writer path reaches an entry
+// through one mutable accessor (mutable_class), and no reference into the
+// working copy is held across a publish -- after it, the block belongs to
+// readers and the next write must clone it again.
 //
 // The paper's Section 4 requires that preference dynamics never disturb
 // in-flight scheduling; here that translates to: producers and workers
@@ -25,7 +34,9 @@
 // The control plane does not touch schedulers directly; it drives a
 // ShardApplier (implemented by Runtime) so the registry/diff logic is unit
 // testable without threads.  Shards keep PER-FLOW state (each member has
-// its own queue there), so shard calls stay flow-grained.  Update ordering:
+// its own queue there), but a delta registers a class's members with one
+// call per hosting shard, so a shard lock is taken once per (class, shard)
+// a delta registers on, not once per member.  Update ordering:
 //   * member/coverage growth: apply to shards FIRST, then publish, then
 //     point the directory at the class -- a producer can only route a
 //     packet once the shard knows the flow AND the snapshot knows the
@@ -45,6 +56,7 @@
 // Writers are serialized by an internal mutex; readers never block.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -98,24 +110,46 @@ struct SnapshotClass {
 };
 
 /// An immutable configuration snapshot.  Built by the control plane,
-/// published via RCU, read lock-free by producers and workers.  O(classes),
-/// never O(flows): flow membership lives in the control plane's directory
-/// (ControlPlane::class_of), not here.
+/// published via RCU, read lock-free by producers and workers.  Never
+/// O(flows): flow membership lives in the control plane's directory
+/// (ControlPlane::class_of), not here.  Class entries live in blocks of
+/// kBlockClasses that later snapshots share until the control plane writes
+/// one of their entries, so a publish copies one pointer per block, the
+/// live-id list and the blocks its delta touched; readers reach entries
+/// through entry() and cls() only.
 struct RuntimeSnapshot {
+  static constexpr std::size_t kBlockClasses = 64;
+  using ClassBlock = std::array<SnapshotClass, kBlockClasses>;
+
   std::uint64_t version = 0;
-  std::vector<SnapshotClass> classes{};  ///< indexed by ClassId (slots)
-  std::vector<ClassId> live{};           ///< live class ids, ascending
+  std::vector<ClassId> live{};  ///< live class ids, ascending
   std::size_t iface_count = 0;
   /// Administratively-dead interfaces (supervisor verdicts); empty means
   /// all up.  Indexed by global interface id when non-empty.
   std::vector<bool> iface_down{};
 
+  /// One past the largest ClassId this snapshot holds an entry for (a
+  /// whole number of blocks; unminted slots read as default entries).
+  std::size_t class_slots() const { return blocks_.size() * kBlockClasses; }
+
+  /// Any class's entry, routed or not.  Requires id < class_slots().
+  const SnapshotClass& entry(ClassId id) const {
+    return (*blocks_[id / kBlockClasses])[id % kBlockClasses];
+  }
+
   /// The routing entry of a live or retiring class; nullptr otherwise.
   const SnapshotClass* cls(ClassId id) const {
-    return id < classes.size() && (classes[id].live || classes[id].retiring)
-               ? &classes[id]
-               : nullptr;
+    if (id >= class_slots()) return nullptr;
+    const SnapshotClass& e = entry(id);
+    return e.live || e.retiring ? &e : nullptr;
   }
+
+ private:
+  friend class ControlPlane;
+  /// Indexed by ClassId / kBlockClasses.  A block is shared with every
+  /// snapshot published since its last write and is never written again
+  /// once published (ControlPlane::mutable_class clones it first).
+  std::vector<std::shared_ptr<ClassBlock>> blocks_{};
 };
 
 /// One mutation of the class configuration, reified.  apply() is the
@@ -143,10 +177,14 @@ class ShardApplier {
  public:
   virtual ~ShardApplier() = default;
 
-  /// Registers `flow` in `shard` with the subset of `willing` hosted there.
-  virtual void shard_add_flow(std::uint32_t shard, FlowId flow,
-                              const RtFlowSpec& spec,
-                              const std::vector<IfaceId>& willing_subset) = 0;
+  /// Registers every flow in `flows` in `shard` with the subset of
+  /// `willing` hosted there: one call -- one shard-lock pass, one scheduler
+  /// spec -- per class and shard a delta registers on, however many
+  /// members it carries.
+  virtual void shard_add_flows(std::uint32_t shard,
+                               std::span<const FlowId> flows,
+                               const RtFlowSpec& spec,
+                               const std::vector<IfaceId>& willing_subset) = 0;
   virtual void shard_remove_flow(std::uint32_t shard, FlowId flow) = 0;
   virtual void shard_set_weight(std::uint32_t shard, FlowId flow,
                                 double weight) = 0;
@@ -269,8 +307,15 @@ class ControlPlane {
   std::uint64_t max_reader_lag() const { return cell_.max_reader_lag(); }
 
  private:
-  std::unique_ptr<RuntimeSnapshot> clone_locked() const;
-  void publish_locked(std::unique_ptr<RuntimeSnapshot> next);
+  /// Publishes a copy of latest_: one pointer per class block (the blocks
+  /// themselves are shared), the live-id list and the interface mask.
+  void publish_locked();
+
+  /// The one writable path to a class entry of latest_: clones the entry's
+  /// block first when a published snapshot still shares it.  The reference
+  /// must not be held across a publish (the block then belongs to readers).
+  SnapshotClass& mutable_class(ClassId cls);
+
   std::vector<std::uint32_t> shards_of(const std::vector<IfaceId>& willing) const;
   std::vector<IfaceId> willing_in_shard(const std::vector<IfaceId>& willing,
                                         std::uint32_t shard) const;
@@ -278,10 +323,14 @@ class ControlPlane {
       const std::vector<IfaceId>& willing) const;
   static RtFlowSpec spec_of(const SnapshotClass& entry);
 
-  /// Interns `spec`'s class in latest_, (re)initializing its snapshot
-  /// entry if it is not currently live, and recomputing hosting shards.
+  /// Validates `spec` (positive weight, known interfaces) and returns its
+  /// normalized class identity.
+  ClassKey key_of(const ClassSpec& spec) const;
+
+  /// Interns `key`'s class in latest_, (re)initializing its snapshot entry
+  /// if it is not currently live and naming it `name` if it has no name.
   /// Does not change member count and does not publish.
-  ClassId intern_locked(const ClassSpec& spec);
+  ClassId intern_locked(const ClassKey& key, const std::string& name);
 
   /// Bookkeeping after a membership change: live-list membership and
   /// quarantine state of one class.
@@ -304,7 +353,9 @@ class ControlPlane {
   std::vector<bool> down_;  // guarded by mu_; empty until first set_iface_down
 
   mutable std::mutex mu_;      // serializes writers; guards latest_ + table_
-  RuntimeSnapshot latest_;     // writer's working copy (source of truth)
+  // Writer's working copy (source of truth).  Its class blocks are shared
+  // with the published snapshot until mutable_class clones them.
+  RuntimeSnapshot latest_;
   ClassTable table_;           // ClassKey -> ClassId interning (global ids)
   FlowId next_flow_ = 0;
   // flow -> class + 1; 0 = not registered.  Lock-free readers; writers

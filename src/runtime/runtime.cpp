@@ -545,11 +545,14 @@ SimTime Runtime::now_ns() const {
 
 // --- Runtime: ShardApplier (control plane -> shard schedulers) -----------
 
-void Runtime::shard_add_flow(std::uint32_t shard_index, FlowId flow,
-                             const RtFlowSpec& spec,
-                             const std::vector<IfaceId>& willing_subset) {
+void Runtime::shard_add_flows(std::uint32_t shard_index,
+                              std::span<const FlowId> flows,
+                              const RtFlowSpec& spec,
+                              const std::vector<IfaceId>& willing_subset) {
   Shard& shard = *shards_[shard_index];
-  std::lock_guard<std::mutex> lock(shard.mu);
+  // One scheduler spec and one lock pass for the whole batch.  The
+  // interface map is frozen once the control plane exists, so the spec is
+  // built outside the lock.
   FlowSpec fs;
   fs.weight = spec.weight;
   for (const IfaceId j : willing_subset) {
@@ -557,20 +560,23 @@ void Runtime::shard_add_flow(std::uint32_t shard_index, FlowId flow,
   }
   fs.name = spec.name;
   fs.queue_capacity_bytes = spec.queue_capacity_bytes;
-  const FlowId local = shard.sched->add_flow(fs);
-  if (shard.local_of_flow.size() <= flow) {
-    shard.local_of_flow.resize(flow + 1, kInvalidFlow);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  for (const FlowId flow : flows) {
+    const FlowId local = shard.sched->add_flow(fs);
+    if (shard.local_of_flow.size() <= flow) {
+      shard.local_of_flow.resize(flow + 1, kInvalidFlow);
+    }
+    shard.local_of_flow[flow] = local;
+    if (shard.global_of_flow.size() <= local) {
+      shard.global_of_flow.resize(local + 1, kInvalidFlow);
+    }
+    shard.global_of_flow[local] = flow;
+    if (shard.weight_of_local.size() <= local) {
+      shard.weight_of_local.resize(local + 1, 0.0);
+    }
+    shard.weight_of_local[local] = spec.weight;
+    shard.weight_sum += spec.weight;
   }
-  shard.local_of_flow[flow] = local;
-  if (shard.global_of_flow.size() <= local) {
-    shard.global_of_flow.resize(local + 1, kInvalidFlow);
-  }
-  shard.global_of_flow[local] = flow;
-  if (shard.weight_of_local.size() <= local) {
-    shard.weight_of_local.resize(local + 1, 0.0);
-  }
-  shard.weight_of_local[local] = spec.weight;
-  shard.weight_sum += spec.weight;
 }
 
 void Runtime::shard_remove_flow(std::uint32_t shard_index, FlowId flow) {
@@ -1573,7 +1579,7 @@ telemetry::FairnessSample Runtime::fairness_sample() {
     // and everything downstream (rows, solver) stays O(classes).  A flow
     // removed mid-window takes its bytes out of its class's total; the
     // sampler clamps the resulting negative window delta to zero.
-    std::vector<std::uint64_t> class_sent(guard->classes.size(), 0);
+    std::vector<std::uint64_t> class_sent(guard->class_slots(), 0);
     for (FlowId f = 0; f < sent_by_flow_.size(); ++f) {
       const std::uint64_t bytes =
           sent_by_flow_[f].load(std::memory_order_relaxed);
@@ -1583,7 +1589,7 @@ telemetry::FairnessSample Runtime::fairness_sample() {
     }
     out.flows.reserve(guard->live.size());
     for (const ClassId id : guard->live) {
-      const SnapshotClass& entry = guard->classes[id];
+      const SnapshotClass& entry = guard->entry(id);
       telemetry::FairnessFlowSample fs;
       fs.id = id;
       fs.name = entry.name.empty() ? "class" + std::to_string(id) : entry.name;

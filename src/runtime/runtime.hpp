@@ -39,6 +39,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -583,8 +584,9 @@ class Runtime final : public telemetry::FairnessSource,
   };
 
   // ShardApplier (control plane -> data plane, takes shard locks).
-  void shard_add_flow(std::uint32_t shard, FlowId flow, const RtFlowSpec& spec,
-                      const std::vector<IfaceId>& willing_subset) override;
+  void shard_add_flows(std::uint32_t shard, std::span<const FlowId> flows,
+                       const RtFlowSpec& spec,
+                       const std::vector<IfaceId>& willing_subset) override;
   void shard_remove_flow(std::uint32_t shard, FlowId flow) override;
   void shard_set_weight(std::uint32_t shard, FlowId flow,
                         double weight) override;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "sched/observer.hpp"
 #include "util/assert.hpp"
@@ -99,11 +100,14 @@ void HierMiDrrScheduler::class_drained(ClassId cls) {
 // --- attach / detach ------------------------------------------------------
 
 void HierMiDrrScheduler::attach_flow(FlowId flow) {
-  ClassKey key;
-  key.weight = preferences().weight(flow);
-  key.willing = preferences().ifaces_of(flow);  // already sorted ascending
-  key.queue_capacity_bytes = queue(flow).capacity_bytes();
-  const ClassId cls = table_.intern(key);
+  lookup_key_.weight = preferences().weight(flow);
+  lookup_key_.willing.clear();  // ascending by construction
+  const std::span<const std::uint8_t> row = preferences().willing_row(flow);
+  for (IfaceId j = 0; j < row.size(); ++j) {
+    if (row[j] != 0) lookup_key_.willing.push_back(j);
+  }
+  lookup_key_.queue_capacity_bytes = queue(flow).capacity_bytes();
+  const ClassId cls = table_.intern(lookup_key_);
   ensure_class(cls);
   table_.add_member(cls);
   class_of_[flow] = cls;

@@ -144,6 +144,8 @@ class HierMiDrrScheduler final : public Scheduler {
 
   std::uint32_t quantum_base_;
   ClassTable table_;
+  // attach_flow's lookup key, refilled in place so a join allocates nothing.
+  ClassKey lookup_key_;
   std::vector<ClassId> class_of_;        // by FlowId; kInvalidClass = detached
   std::vector<ClassState> classes_;      // by ClassId
   std::vector<FlowRing> rings_;          // by IfaceId, over ClassIds

@@ -1,15 +1,26 @@
 // ControlPlane + Rcu: class-delta registry logic against a mock
 // ShardApplier (apply-vs-publish ordering, Pi-row interning and dedup,
-// shard coverage growth and shrink, batch registration with one publish),
-// and the snapshot-swap guarantee -- concurrent readers see a whole old or
-// whole new configuration, never a torn mix.
+// shard coverage growth and shrink, batch registration with one publish
+// and one shard call per hosting shard), random delta sequences checked
+// against a sequential model, and the snapshot-swap guarantee --
+// concurrent readers see a whole old or whole new configuration, never a
+// torn mix, and never a published snapshot that changes under them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <limits>
+#include <map>
 #include <memory>
+#include <random>
+#include <span>
+#include <stdexcept>
+#include <stop_token>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "runtime/control_plane.hpp"
@@ -30,9 +41,13 @@ class RecordingApplier : public ShardApplier {
     std::vector<IfaceId> willing_subset;
   };
 
-  void shard_add_flow(std::uint32_t shard, FlowId flow, const RtFlowSpec&,
-                      const std::vector<IfaceId>& willing_subset) override {
-    ops.push_back({"add", shard, flow, willing_subset});
+  void shard_add_flows(std::uint32_t shard, std::span<const FlowId> flows,
+                       const RtFlowSpec&,
+                       const std::vector<IfaceId>& willing_subset) override {
+    ++add_calls;
+    for (const FlowId flow : flows) {
+      ops.push_back({"add", shard, flow, willing_subset});
+    }
   }
   void shard_remove_flow(std::uint32_t shard, FlowId flow) override {
     ops.push_back({"remove", shard, flow, {}});
@@ -46,16 +61,42 @@ class RecordingApplier : public ShardApplier {
   }
 
   std::vector<Op> ops;
+  std::size_t add_calls = 0;  ///< shard_add_flows calls, one per batch
 };
 
 /// Applies nothing: for tests whose subject is publication, not shard ops.
 class NullApplier : public ShardApplier {
  public:
-  void shard_add_flow(std::uint32_t, FlowId, const RtFlowSpec&,
-                      const std::vector<IfaceId>&) override {}
+  void shard_add_flows(std::uint32_t, std::span<const FlowId>,
+                       const RtFlowSpec&,
+                       const std::vector<IfaceId>&) override {}
   void shard_remove_flow(std::uint32_t, FlowId) override {}
   void shard_set_weight(std::uint32_t, FlowId, double) override {}
   void shard_set_willing(std::uint32_t, FlowId, IfaceId, bool) override {}
+};
+
+/// Fails the test, and throws, on any call made while `armed`: for deltas
+/// that must be refused before any shard sees them.
+class TrapApplier : public ShardApplier {
+ public:
+  void shard_add_flows(std::uint32_t, std::span<const FlowId>,
+                       const RtFlowSpec&,
+                       const std::vector<IfaceId>&) override {
+    reached();
+  }
+  void shard_remove_flow(std::uint32_t, FlowId) override { reached(); }
+  void shard_set_weight(std::uint32_t, FlowId, double) override { reached(); }
+  void shard_set_willing(std::uint32_t, FlowId, IfaceId, bool) override {
+    reached();
+  }
+  bool armed = false;
+
+ private:
+  void reached() const {
+    if (!armed) return;
+    ADD_FAILURE() << "a refused delta reached a shard";
+    throw std::logic_error("shard reached");
+  }
 };
 
 // Topology for most tests: 4 interfaces on 2 shards (0,1,0,1).
@@ -87,15 +128,18 @@ TEST(ControlPlane, AddFlowReachesEveryHostingShardWithLocalSubset) {
 
 TEST(ControlPlane, AddAppliesBeforeDirectoryRemoveClearsDirectoryBefore) {
   // The ordering invariant, observed through the applier: at the moment
-  // shard_add_flow runs, producers must not yet resolve the flow (its
+  // shard_add_flows runs, producers must not yet resolve the flow (its
   // directory word is stored only after the publish); at the moment
   // shard_remove_flow runs the directory must ALREADY have dropped it.
   class OrderChecker : public ShardApplier {
    public:
-    void shard_add_flow(std::uint32_t, FlowId flow, const RtFlowSpec&,
-                        const std::vector<IfaceId>&) override {
-      EXPECT_EQ(cp->class_of(flow), kInvalidClass)
-          << "flow resolvable before the shard knew it";
+    void shard_add_flows(std::uint32_t, std::span<const FlowId> flows,
+                         const RtFlowSpec&,
+                         const std::vector<IfaceId>&) override {
+      for (const FlowId flow : flows) {
+        EXPECT_EQ(cp->class_of(flow), kInvalidClass)
+            << "flow resolvable before the shard knew it";
+      }
     }
     void shard_remove_flow(std::uint32_t, FlowId flow) override {
       EXPECT_EQ(cp->class_of(flow), kInvalidClass)
@@ -150,6 +194,7 @@ TEST(ControlPlane, AddMembersRegistersABatchUnderOnePublish) {
   EXPECT_EQ(first, 0u);
   EXPECT_EQ(cp.version(), v0 + 1) << "one publish for the whole batch";
   EXPECT_EQ(applier.ops.size(), 80u) << "40 members x 2 hosting shards";
+  EXPECT_EQ(applier.add_calls, 2u) << "one shard call per hosting shard";
   EXPECT_EQ(cp.flow_count(), 40u);
   const ClassId cls = cp.class_of(first);
   for (FlowId f = first; f < first + 40; ++f) {
@@ -330,7 +375,7 @@ TEST(ControlPlane, RedundantUpdatesAreNoOps) {
 }
 
 TEST(ControlPlane, RejectsBadInputs) {
-  RecordingApplier applier;
+  TrapApplier applier;
   ControlPlane cp(applier, two_shards(), 2);
   EXPECT_THROW(cp.add_flow({.weight = 0.0}), PreconditionError);
   EXPECT_THROW(cp.remove_flow(0), PreconditionError);
@@ -340,6 +385,11 @@ TEST(ControlPlane, RejectsBadInputs) {
   RtFlowSpec ok;
   ok.willing = {0};
   const FlowId f = cp.add_flow(ok);
+  applier.armed = true;
+  EXPECT_THROW(cp.add_members(ok, std::numeric_limits<std::size_t>::max()),
+               PreconditionError)
+      << "arena bound must not wrap";
+  applier.armed = false;
   cp.add_flow(ok);
   EXPECT_THROW(cp.add_flow(ok), PreconditionError) << "arena bound";
   EXPECT_THROW(cp.set_weight(f, -1.0), PreconditionError);
@@ -525,7 +575,7 @@ TEST(ControlPlaneSwap, ReadersNeverSeeATornConfiguration) {
           ++torn;  // exactly one class holds the flow in every published state
           continue;
         }
-        const SnapshotClass& entry = guard->classes[guard->live[0]];
+        const SnapshotClass& entry = guard->entry(guard->live[0]);
         if (!entry.live || entry.members != 1) {
           ++torn;
           continue;
@@ -622,6 +672,313 @@ TEST(ControlPlaneSwap, MovedMembersStayRoutableThroughEveryPublish) {
   const auto guard = reader.lock();
   EXPECT_EQ(guard->live.size(), 2u) << "emptied source classes retired";
   EXPECT_EQ(guard->cls(cls)->members, kMembers);
+}
+
+// --- Reference model --------------------------------------------------------
+
+/// The class configuration kept the plain sequential way: one record per
+/// class id, one class id per flow.  Deltas apply with the control plane's
+/// documented semantics (ids dense in order of first sight and never
+/// reused, names first-writer-wins, moves and reweights carry the source's
+/// name to an unnamed target, a move to the same identity is a no-op), and
+/// every published snapshot is derived from it.
+class ControlModel {
+ public:
+  using Key = std::tuple<double, std::vector<IfaceId>, std::uint64_t>;
+
+  struct Class {
+    Key key;
+    std::string name;
+    std::uint64_t members = 0;
+  };
+
+  explicit ControlModel(std::vector<std::uint32_t> shard_of_iface)
+      : shard_of_iface_(std::move(shard_of_iface)),
+        down_(shard_of_iface_.size(), false) {}
+
+  static Key key_of(const ClassSpec& spec) {
+    std::vector<IfaceId> willing = spec.willing;
+    std::sort(willing.begin(), willing.end());
+    willing.erase(std::unique(willing.begin(), willing.end()), willing.end());
+    return {spec.weight, willing, spec.queue_capacity_bytes};
+  }
+
+  FlowId add_members(const ClassSpec& spec, std::size_t count) {
+    const ClassId cid = intern(spec);
+    const FlowId first = static_cast<FlowId>(class_of_.size());
+    class_of_.insert(class_of_.end(), count, cid);
+    classes_[cid].members += count;
+    ++version_;
+    return first;
+  }
+
+  void remove_member(FlowId flow) {
+    --classes_[class_of_[flow]].members;
+    class_of_[flow] = kInvalidClass;
+    ++version_;
+  }
+
+  void move_member(FlowId flow, const ClassSpec& spec) {
+    const auto it = ids_.find(key_of(spec));
+    if (it != ids_.end() && it->second == class_of_[flow]) return;
+    const ClassId to = intern(spec);
+    --classes_[class_of_[flow]].members;
+    ++classes_[to].members;
+    class_of_[flow] = to;
+    ++version_;
+  }
+
+  ClassId reweight_class(ClassId cls, double weight) {
+    const auto [old_weight, willing, capacity] = classes_[cls].key;
+    if (old_weight == weight) return cls;
+    const ClassId to = intern({.weight = weight,
+                               .willing = willing,
+                               .name = classes_[cls].name,
+                               .queue_capacity_bytes = capacity});
+    for (ClassId& c : class_of_) {
+      if (c == cls) c = to;
+    }
+    classes_[to].members += classes_[cls].members;
+    classes_[cls].members = 0;
+    ++version_;
+    return to;
+  }
+
+  void set_iface_down(IfaceId iface, bool down) {
+    if (down_[iface] == down) return;
+    down_[iface] = down;
+    masked_ = true;
+    ++version_;
+  }
+
+  /// The snapshot entry the control plane must publish for `cls`.
+  SnapshotClass expected(ClassId cls) const {
+    const Class& c = classes_[cls];
+    SnapshotClass e;
+    e.id = cls;
+    e.live = c.members > 0;
+    e.weight = std::get<0>(c.key);
+    e.willing = std::get<1>(c.key);
+    e.queue_capacity_bytes = std::get<2>(c.key);
+    e.members = c.members;
+    e.name = c.name;
+    if (e.live) {
+      for (const IfaceId j : e.willing) {
+        if (!down_[j]) e.shards.push_back(shard_of_iface_[j]);
+      }
+      std::sort(e.shards.begin(), e.shards.end());
+      e.shards.erase(std::unique(e.shards.begin(), e.shards.end()),
+                     e.shards.end());
+      e.quarantined = e.shards.empty() && !e.willing.empty();
+    }
+    return e;
+  }
+
+  std::vector<ClassId> live() const {
+    std::vector<ClassId> out;
+    for (ClassId c = 0; c < classes_.size(); ++c) {
+      if (classes_[c].members > 0) out.push_back(c);
+    }
+    return out;
+  }
+
+  const std::vector<ClassId>& class_of() const { return class_of_; }
+  std::size_t class_count() const { return classes_.size(); }
+  std::uint64_t version() const { return version_; }
+  std::vector<bool> iface_down() const {
+    return masked_ ? down_ : std::vector<bool>{};
+  }
+
+ private:
+  ClassId intern(const ClassSpec& spec) {
+    const auto [it, fresh] = ids_.try_emplace(
+        key_of(spec), static_cast<ClassId>(classes_.size()));
+    if (fresh) classes_.push_back({it->first, {}, 0});
+    Class& c = classes_[it->second];
+    if (c.name.empty()) c.name = spec.name;
+    return it->second;
+  }
+
+  std::vector<std::uint32_t> shard_of_iface_;
+  std::vector<bool> down_;
+  bool masked_ = false;  // the snapshot carries no mask until the first call
+  std::map<Key, ClassId> ids_;
+  std::vector<Class> classes_;     // by ClassId
+  std::vector<ClassId> class_of_;  // by FlowId; kInvalidClass once removed
+  std::uint64_t version_ = 1;
+};
+
+/// Every field of every class entry, the live list and the version, folded
+/// into one FNV-1a word.
+std::uint64_t fingerprint(const RuntimeSnapshot& snap) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+  mix(snap.version);
+  for (const ClassId id : snap.live) mix(id);
+  for (ClassId id = 0; id < snap.class_slots(); ++id) {
+    const SnapshotClass& e = snap.entry(id);
+    mix(e.id);
+    mix(e.live);
+    mix(e.retiring);
+    mix(e.quarantined);
+    mix(std::bit_cast<std::uint64_t>(e.weight));
+    mix(e.members);
+    mix(e.queue_capacity_bytes);
+    mix(e.willing.size());
+    for (const IfaceId j : e.willing) mix(j);
+    mix(e.shards.size());
+    for (const std::uint32_t k : e.shards) mix(k);
+    for (const char ch : e.name) mix(static_cast<unsigned char>(ch));
+  }
+  return h;
+}
+
+void expect_matches_model(ControlPlane& cp, const ControlModel& model,
+                          std::size_t step) {
+  SCOPED_TRACE("after delta " + std::to_string(step));
+  auto reader = cp.reader();
+  const auto guard = reader.lock();
+  const RuntimeSnapshot& snap = *guard;
+  ASSERT_EQ(snap.version, model.version());
+  ASSERT_EQ(snap.live, model.live());
+  ASSERT_EQ(snap.iface_down, model.iface_down());
+  ASSERT_GE(snap.class_slots(), model.class_count());
+  for (ClassId id = 0; id < snap.class_slots(); ++id) {
+    const SnapshotClass& got = snap.entry(id);
+    if (id >= model.class_count()) {
+      ASSERT_EQ(got.id, kInvalidClass) << "unminted slot " << id;
+      ASSERT_EQ(snap.cls(id), nullptr) << "unminted slot " << id;
+      continue;
+    }
+    const SnapshotClass want = model.expected(id);
+    ASSERT_EQ(got.id, want.id);
+    ASSERT_EQ(got.live, want.live) << "class " << id;
+    ASSERT_FALSE(got.retiring) << "class " << id;
+    ASSERT_EQ(got.quarantined, want.quarantined) << "class " << id;
+    ASSERT_EQ(got.weight, want.weight) << "class " << id;
+    ASSERT_EQ(got.members, want.members) << "class " << id;
+    ASSERT_EQ(got.willing, want.willing) << "class " << id;
+    ASSERT_EQ(got.shards, want.shards) << "class " << id;
+    ASSERT_EQ(got.name, want.name) << "class " << id;
+    ASSERT_EQ(got.queue_capacity_bytes, want.queue_capacity_bytes);
+    ASSERT_EQ(snap.cls(id) != nullptr, want.live) << "class " << id;
+  }
+  const std::vector<ClassId>& class_of = model.class_of();
+  for (FlowId f = 0; f < class_of.size(); ++f) {
+    ASSERT_EQ(cp.class_of(f), class_of[f]) << "flow " << f;
+  }
+  ASSERT_EQ(cp.class_count(), snap.live.size());
+}
+
+TEST(ControlDeltaModel, PublishesMatchTheModelAndNeverChangeUnderAReader) {
+  // Seeded random deltas over 6 interfaces on 3 shards, 15 weights and
+  // every Pi row: a few hundred classes, so deltas land in several class
+  // blocks, with batches of up to 120 members so reweights move big
+  // classes.  After every delta a fresh guard's snapshot must equal the
+  // model.  Meanwhile reader threads fingerprint the snapshot they hold
+  // when the guard opens and again just before it closes: a writer that
+  // touches a block after publishing it changes a snapshot under a reader
+  // (and under TSan, races with it).
+  constexpr std::size_t kIfaces = 6;
+  constexpr std::size_t kMaxFlows = 8000;
+  constexpr std::size_t kDeltas = 1500;
+  const std::vector<std::uint32_t> shard_of_iface{0, 1, 2, 0, 1, 2};
+
+  for (const std::uint64_t seed : {11u, 12u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    NullApplier applier;
+    ControlPlane cp(applier, shard_of_iface, kMaxFlows);
+    ControlModel model(shard_of_iface);
+
+    std::atomic<std::uint64_t> held{0};
+    std::atomic<std::uint64_t> changed{0};
+    // jthreads: a failed ASSERT below returns early, and still stops and
+    // joins the readers.
+    std::vector<std::jthread> readers;
+    for (int r = 0; r < 2; ++r) {
+      readers.emplace_back([&](const std::stop_token& stop) {
+        auto reader = cp.reader();
+        while (!stop.stop_requested()) {
+          const auto guard = reader.lock();
+          const std::uint64_t opened = fingerprint(*guard);
+          std::this_thread::yield();
+          if (fingerprint(*guard) != opened) ++changed;
+          ++held;
+        }
+      });
+    }
+
+    std::mt19937_64 rng(seed);
+    const auto pick = [&rng](std::size_t n) {
+      return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+    };
+    const auto random_spec = [&] {
+      ClassSpec spec;
+      spec.weight = 1.0 + 0.5 * static_cast<double>(pick(15));
+      for (IfaceId j = 0; j < kIfaces; ++j) {
+        if (pick(2) == 1) spec.willing.push_back(j);
+      }
+      if (pick(3) == 0) spec.name = "n" + std::to_string(pick(1000));
+      return spec;
+    };
+    std::vector<FlowId> live_flows;
+    std::size_t minted = 0;
+    std::size_t big_reweights = 0;     // of classes with 20+ members
+    std::size_t quarantined_seen = 0;  // live quarantined classes, summed
+    for (std::size_t step = 0; step < kDeltas; ++step) {
+      const std::size_t op = pick(100);
+      if (minted < kMaxFlows && (live_flows.empty() || op < 35)) {
+        const std::size_t count = std::min(
+            pick(10) == 0 ? 20 + pick(101) : 1, kMaxFlows - minted);
+        const ClassSpec spec = random_spec();
+        const FlowId first = cp.add_members(spec, count);
+        ASSERT_EQ(first, model.add_members(spec, count));
+        for (std::size_t k = 0; k < count; ++k) {
+          live_flows.push_back(first + static_cast<FlowId>(k));
+        }
+        minted += count;
+      } else if (live_flows.empty()) {
+        break;  // arena spent and every member removed
+      } else if (op < 55) {
+        const std::size_t i = pick(live_flows.size());
+        const FlowId f = live_flows[i];
+        live_flows[i] = live_flows.back();
+        live_flows.pop_back();
+        cp.remove_member(f);
+        model.remove_member(f);
+      } else if (op < 75) {
+        const FlowId f = live_flows[pick(live_flows.size())];
+        const ClassSpec spec = random_spec();
+        cp.move_member(f, spec);
+        model.move_member(f, spec);
+      } else if (op < 95) {
+        // The class of a random live flow: big classes are picked most.
+        const ClassId cls = cp.class_of(live_flows[pick(live_flows.size())]);
+        const double weight = 1.0 + 0.5 * static_cast<double>(pick(15));
+        if (model.expected(cls).members >= 20) ++big_reweights;
+        ASSERT_EQ(cp.reweight_class(cls, weight),
+                  model.reweight_class(cls, weight));
+      } else {
+        const auto iface = static_cast<IfaceId>(pick(kIfaces));
+        const bool down = pick(2) == 0;
+        cp.set_iface_down(iface, down);
+        model.set_iface_down(iface, down);
+      }
+      expect_matches_model(cp, model, step);
+      if (HasFatalFailure()) break;
+      for (const ClassId c : model.live()) {
+        if (model.expected(c).quarantined) ++quarantined_seen;
+      }
+    }
+    readers.clear();  // stop and join
+    EXPECT_GE(model.class_count(), 200u) << "deltas must span several blocks";
+    EXPECT_GT(big_reweights, 0u);
+    EXPECT_GT(quarantined_seen, 0u) << "no delta quarantined a class";
+    EXPECT_GT(held.load(), 0u);
+    EXPECT_EQ(changed.load(), 0u)
+        << "a published snapshot changed while a reader held it";
+    if (HasFatalFailure()) return;
+  }
 }
 
 TEST(Rcu, PublishWaitsForInCriticalSectionReader) {

@@ -434,7 +434,7 @@ int main(int argc, char** argv) {
       auto reader = runtime.control().reader();
       const auto guard = reader.lock();
       for (const ClassId id : guard->live) {
-        const SnapshotClass& c = guard->classes[id];
+        const SnapshotClass& c = guard->entry(id);
         slo->bind_class(id, c.name.empty() ? "class" + std::to_string(id)
                                            : c.name);
       }
@@ -575,7 +575,7 @@ int main(int argc, char** argv) {
             .field("flows", control->flow_count())
             .field("version", guard->version).key("rows").begin_array();
         for (const ClassId id : guard->live) {
-          const SnapshotClass& c = guard->classes[id];
+          const SnapshotClass& c = guard->entry(id);
           body.begin_object().field("id", id)
               .field("name", c.name.empty() ? "class" + std::to_string(id)
                                             : c.name)
