@@ -162,9 +162,9 @@ int main(int, char**) {
                                        SimTime now) -> std::optional<Packet> {
                 auto p = sched.dequeue(iface, now);
                 if (p) {
-                  for (const auto size :
-                       sources[p->flow]->on_dequeue(p->size_bytes, rng)) {
-                    sched.enqueue(Packet(p->flow, size), now);
+                  if (const auto size =
+                          sources[p->flow]->on_dequeue(p->size_bytes, rng)) {
+                    sched.enqueue(Packet(p->flow, *size), now);
                   }
                 }
                 return p;

@@ -80,11 +80,12 @@ int main(int, char**) {
     run_point(p, /*burst_opportunity=*/25 * kMillisecond, table);
   }
   std::cout << "\nreading guide: this measures the WHOLE simulation loop\n"
-               "(event queue, source refill -- the harness's own O(flows)\n"
-               "bookkeeping -- and cache pressure), so ns/decision grows\n"
-               "with scale here.  The isolated scheduling decision itself\n"
-               "stays flat in flow count: see bench/micro_sched\n"
-               "(BM_MiDrrDecisionVsFlows) and bench/fig9_overhead for the\n"
-               "paper's Fig 9 claim measured directly on the scheduler.\n";
+               "(event queue, source refill, rate and delay recording --\n"
+               "each O(1) per packet -- and the cache pressure of per-flow\n"
+               "state), so ns/decision grows with scale here.  The\n"
+               "isolated scheduling decision itself stays flat in flow\n"
+               "count: see bench/micro_sched (BM_MiDrrDecisionVsFlows)\n"
+               "and bench/fig9_overhead for the paper's Fig 9 claim\n"
+               "measured directly on the scheduler.\n";
   return 0;
 }

@@ -207,9 +207,8 @@ std::size_t ScenarioRunner::index_of(FlowId flow) const {
 void ScenarioRunner::refill_source(FlowId flow, std::uint32_t dequeued_bytes) {
   const std::size_t idx = index_of(flow);
   MIDRR_ASSERT(idx < flows_.size(), "dequeue for unknown flow");
-  for (const std::uint32_t size :
-       flows_[idx]->source->on_dequeue(dequeued_bytes, rng_)) {
-    enqueue_for(idx, size);
+  if (const auto size = flows_[idx]->source->on_dequeue(dequeued_bytes, rng_)) {
+    enqueue_for(idx, *size);
   }
 }
 
@@ -337,6 +336,7 @@ ScenarioResult ScenarioRunner::run(SimTime until) {
   ScenarioResult result;
   result.policy = scheduler_->policy_name();
   result.duration = duration;
+  result.flows.reserve(flows_.size());
   for (std::size_t idx = 0; idx < flows_.size(); ++idx) {
     const FlowRuntime& rt = *flows_[idx];
     FlowResult fr;
@@ -350,6 +350,7 @@ ScenarioResult ScenarioRunner::run(SimTime until) {
       fr.bytes_sent = scheduler_->sent_bytes(rt.id);
       fr.dropped_packets = scheduler_->queue_stats(rt.id).dropped_packets;
       fr.dropped_bytes = scheduler_->queue_stats(rt.id).dropped_bytes;
+      fr.bytes_per_iface.reserve(links_.size());
       for (const auto& link : links_) {
         fr.bytes_per_iface.push_back(
             scheduler_->sent_bytes(rt.id, link->iface()));
@@ -357,6 +358,7 @@ ScenarioResult ScenarioRunner::run(SimTime until) {
     }
     result.flows.push_back(std::move(fr));
   }
+  result.ifaces.reserve(links_.size());
   for (const auto& link : links_) {
     InterfaceResult ir;
     ir.id = link->iface();

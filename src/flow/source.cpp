@@ -53,8 +53,8 @@ std::uint32_t SizeDistribution::sample(Rng& rng) const {
 
 std::vector<std::uint32_t> TrafficSource::on_start(Rng&) { return {}; }
 
-std::vector<std::uint32_t> TrafficSource::on_dequeue(std::uint32_t, Rng&) {
-  return {};
+std::optional<std::uint32_t> TrafficSource::on_dequeue(std::uint32_t, Rng&) {
+  return std::nullopt;
 }
 
 std::optional<SourceEmission> TrafficSource::next_arrival(Rng&) {
@@ -93,11 +93,9 @@ std::vector<std::uint32_t> BackloggedSource::on_start(Rng& rng) {
   return out;
 }
 
-std::vector<std::uint32_t> BackloggedSource::on_dequeue(std::uint32_t,
-                                                        Rng& rng) {
-  const auto s = draw(rng);
-  if (!s) return {};
-  return {*s};
+std::optional<std::uint32_t> BackloggedSource::on_dequeue(std::uint32_t,
+                                                          Rng& rng) {
+  return draw(rng);
 }
 
 bool BackloggedSource::exhausted() const {

@@ -1,11 +1,12 @@
 // Traffic sources: how a flow's packets come into being.
 //
 // Sources are pure generators -- they hold no reference to the simulator.
-// The simulation layer (sim/workload.hpp) drives them through three hooks:
+// The simulation drivers (core/scenario.hpp's ScenarioRunner, the inbound
+// proxy) drive them through three hooks:
 //   * on_start()        -> packets to enqueue when the flow begins,
-//   * on_dequeue()      -> packets to enqueue right after one is sent
-//                          (this is how "continuously backlogged" flows are
-//                          modeled without unbounded queues),
+//   * on_dequeue()      -> the packet, if any, to enqueue right after one is
+//                          sent (this is how "continuously backlogged" flows
+//                          are modeled without unbounded queues),
 //   * next_arrival()    -> timer-driven arrivals (CBR / Poisson / on-off).
 //
 // The paper's experiments use backlogged flows with finite volumes (Fig 6:
@@ -61,9 +62,10 @@ class TrafficSource {
   /// Packet sizes to enqueue immediately when the flow starts.
   virtual std::vector<std::uint32_t> on_start(Rng& rng);
 
-  /// Packet sizes to enqueue right after a packet of this flow was sent.
-  virtual std::vector<std::uint32_t> on_dequeue(std::uint32_t dequeued_bytes,
-                                                Rng& rng);
+  /// Size of the packet to enqueue right after a packet of this flow was
+  /// sent; nullopt for none.
+  virtual std::optional<std::uint32_t> on_dequeue(std::uint32_t dequeued_bytes,
+                                                  Rng& rng);
 
   /// Next timer-driven arrival; nullopt if this source has none (left).
   virtual std::optional<SourceEmission> next_arrival(Rng& rng);
@@ -82,8 +84,8 @@ class BackloggedSource final : public TrafficSource {
                    std::size_t depth = 8);
 
   std::vector<std::uint32_t> on_start(Rng& rng) override;
-  std::vector<std::uint32_t> on_dequeue(std::uint32_t dequeued_bytes,
-                                        Rng& rng) override;
+  std::optional<std::uint32_t> on_dequeue(std::uint32_t dequeued_bytes,
+                                          Rng& rng) override;
   bool exhausted() const override;
 
   std::uint64_t emitted_bytes() const { return emitted_bytes_; }

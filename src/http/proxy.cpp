@@ -64,12 +64,9 @@ HttpRangeProxy::HttpRangeProxy(std::vector<ProxyInterfaceSpec> ifaces,
         ++requests_sent_;
         request_header_bytes_ += req.serialize().size();
         // Keep the pipeline full behind this request.
-        for (std::size_t idx = 0; idx < flows_.size(); ++idx) {
-          if (flows_[idx]->id == chunk->flow) {
-            top_up(idx, now);
-            break;
-          }
-        }
+        const std::size_t idx = index_of(chunk->flow);
+        MIDRR_ASSERT(idx < flows_.size(), "chunk for unknown flow");
+        top_up(idx, now);
       }
       return chunk;
     };
@@ -98,6 +95,11 @@ HttpRangeProxy::HttpRangeProxy(std::vector<ProxyInterfaceSpec> ifaces,
     state->id = scheduler_->add_flow(FlowSpec{
         .weight = spec.weight, .willing = std::move(willing), .name = spec.name});
     state->total_bytes = spec.total_bytes;
+    if (index_by_flow_id_.size() <= state->id) {
+      index_by_flow_id_.resize(static_cast<std::size_t>(state->id) + 1,
+                               kNoIndex);
+    }
+    index_by_flow_id_[state->id] = flows_.size();
     flows_.push_back(std::move(state));
   }
   window_bytes_.assign(flows_.size(),
@@ -105,6 +107,10 @@ HttpRangeProxy::HttpRangeProxy(std::vector<ProxyInterfaceSpec> ifaces,
 }
 
 HttpRangeProxy::~HttpRangeProxy() = default;
+
+std::size_t HttpRangeProxy::index_of(FlowId flow) const {
+  return flow < index_by_flow_id_.size() ? index_by_flow_id_[flow] : kNoIndex;
+}
 
 void HttpRangeProxy::top_up(std::size_t index, SimTime now) {
   FlowState& flow = *flows_[index];
@@ -129,37 +135,33 @@ void HttpRangeProxy::top_up(std::size_t index, SimTime now) {
 
 void HttpRangeProxy::on_chunk_received(IfaceId iface, const Packet& chunk,
                                        SimTime at) {
-  for (std::size_t idx = 0; idx < flows_.size(); ++idx) {
-    FlowState& flow = *flows_[idx];
-    if (flow.id != chunk.flow) continue;
+  const std::size_t idx = index_of(chunk.flow);
+  MIDRR_ASSERT(idx < flows_.size(), "chunk for unknown flow");
+  FlowState& flow = *flows_[idx];
 
-    // Validate the origin's Content-Range round trip (exercises the
-    // message layer on the hot path, as the real proxy would).
-    const auto head = HttpResponse::partial(
-        ByteRange{chunk.seq, chunk.seq + chunk.size_bytes - 1},
-        flow.total_bytes == 0 ? chunk.seq + chunk.size_bytes
-                              : flow.total_bytes);
-    const auto parsed = HttpResponse::parse_head(head.serialize_head());
-    MIDRR_ASSERT(parsed.has_value() && parsed->status == 206,
-                 "malformed partial response");
+  // Validate the origin's Content-Range round trip (exercises the
+  // message layer on the hot path, as the real proxy would).
+  const auto head = HttpResponse::partial(
+      ByteRange{chunk.seq, chunk.seq + chunk.size_bytes - 1},
+      flow.total_bytes == 0 ? chunk.seq + chunk.size_bytes : flow.total_bytes);
+  const auto parsed = HttpResponse::parse_head(head.serialize_head());
+  MIDRR_ASSERT(parsed.has_value() && parsed->status == 206,
+               "malformed partial response");
 
-    flow.reassembler.add(ByteRange{chunk.seq, chunk.seq + chunk.size_bytes - 1});
-    window_bytes_[idx][iface] += chunk.size_bytes;
+  flow.reassembler.add(ByteRange{chunk.seq, chunk.seq + chunk.size_bytes - 1});
+  window_bytes_[idx][iface] += chunk.size_bytes;
 
-    // Goodput = in-order delivery: meter only the prefix advance.
-    const std::uint64_t prefix = flow.reassembler.contiguous_prefix();
-    if (prefix > flow.last_prefix) {
-      flow.goodput.record(at, prefix - flow.last_prefix);
-      flow.last_prefix = prefix;
-    }
-    if (!flow.completed_at && flow.total_bytes != 0 &&
-        prefix >= flow.total_bytes) {
-      flow.completed_at = at;
-    }
-    top_up(idx, at);
-    return;
+  // Goodput = in-order delivery: meter only the prefix advance.
+  const std::uint64_t prefix = flow.reassembler.contiguous_prefix();
+  if (prefix > flow.last_prefix) {
+    flow.goodput.record(at, prefix - flow.last_prefix);
+    flow.last_prefix = prefix;
   }
-  MIDRR_ASSERT(false, "chunk for unknown flow");
+  if (!flow.completed_at && flow.total_bytes != 0 &&
+      prefix >= flow.total_bytes) {
+    flow.completed_at = at;
+  }
+  top_up(idx, at);
 }
 
 void HttpRangeProxy::sample() {

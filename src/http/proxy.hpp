@@ -99,6 +99,7 @@ class HttpRangeProxy {
  private:
   struct FlowState;
 
+  std::size_t index_of(FlowId flow) const;  // kNoIndex if unknown
   void top_up(std::size_t index, SimTime now);
   void on_chunk_received(IfaceId iface, const Packet& chunk, SimTime at);
   void sample();
@@ -111,6 +112,8 @@ class HttpRangeProxy {
   std::unique_ptr<Scheduler> scheduler_;
   std::vector<std::unique_ptr<LinkTransmitter>> links_;
   std::vector<std::unique_ptr<FlowState>> flows_;
+  static constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> index_by_flow_id_;  // FlowId -> flows_ index
   std::vector<std::vector<std::uint64_t>> window_bytes_;  // [flow][iface]
   std::vector<ProxyClusterSnapshot> cluster_log_;
   std::uint64_t requests_sent_ = 0;

@@ -47,14 +47,11 @@ RemoteProxy::RemoteProxy(std::vector<PathSpec> paths,
     auto provider = [this](IfaceId path, SimTime now) -> std::optional<Packet> {
       auto p = scheduler_->dequeue(path, now);
       if (p) {
-        for (std::size_t idx = 0; idx < flows_.size(); ++idx) {
-          if (flows_[idx]->id == p->flow) {
-            for (const std::uint32_t size :
-                 flows_[idx]->source->on_dequeue(p->size_bytes, rng_)) {
-              enqueue_for(idx, size);
-            }
-            break;
-          }
+        const std::size_t idx = index_of(p->flow);
+        MIDRR_ASSERT(idx < flows_.size(), "dequeue for unknown inbound flow");
+        if (const auto size =
+                flows_[idx]->source->on_dequeue(p->size_bytes, rng_)) {
+          enqueue_for(idx, *size);
         }
       }
       return p;
@@ -86,11 +83,20 @@ RemoteProxy::RemoteProxy(std::vector<PathSpec> paths,
     state->id = scheduler_->add_flow(FlowSpec{
         .weight = spec.weight, .willing = std::move(willing), .name = spec.name});
     state->source = spec.make_source();
+    if (index_by_flow_id_.size() <= state->id) {
+      index_by_flow_id_.resize(static_cast<std::size_t>(state->id) + 1,
+                               kNoIndex);
+    }
+    index_by_flow_id_[state->id] = flows_.size();
     flows_.push_back(std::move(state));
   }
 }
 
 RemoteProxy::~RemoteProxy() = default;
+
+std::size_t RemoteProxy::index_of(FlowId flow) const {
+  return flow < index_by_flow_id_.size() ? index_by_flow_id_[flow] : kNoIndex;
+}
 
 void RemoteProxy::enqueue_for(std::size_t index, std::uint32_t size) {
   FlowState& flow = *flows_[index];
@@ -121,16 +127,11 @@ void RemoteProxy::on_path_departure(IfaceId path, const Packet& packet,
   // The packet left the proxy's bottleneck; it reaches the device after
   // the path's one-way latency.
   const SimDuration latency = path_specs_[path].latency;
-  Packet copy = packet;
-  for (std::size_t idx = 0; idx < flows_.size(); ++idx) {
-    if (flows_[idx]->id == packet.flow) {
-      sim_.schedule_in(latency, [this, idx, path, copy, at, latency] {
-        deliver(idx, path, copy, at + latency);
-      });
-      return;
-    }
-  }
-  MIDRR_ASSERT(false, "departure for unknown inbound flow");
+  const std::size_t idx = index_of(packet.flow);
+  MIDRR_ASSERT(idx < flows_.size(), "departure for unknown inbound flow");
+  sim_.schedule_in(latency, [this, idx, path, copy = packet, at, latency] {
+    deliver(idx, path, copy, at + latency);
+  });
 }
 
 void RemoteProxy::deliver(std::size_t index, IfaceId path, Packet packet,

@@ -79,6 +79,7 @@ class RemoteProxy {
  private:
   struct FlowState;
 
+  std::size_t index_of(FlowId flow) const;  // kNoIndex if unknown
   void enqueue_for(std::size_t index, std::uint32_t size);
   void pump_arrivals(std::size_t index);
   void on_path_departure(IfaceId path, const Packet& packet, SimTime at);
@@ -93,6 +94,8 @@ class RemoteProxy {
   Rng rng_;
   std::vector<std::unique_ptr<LinkTransmitter>> paths_;
   std::vector<std::unique_ptr<FlowState>> flows_;
+  static constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> index_by_flow_id_;  // FlowId -> flows_ index
 };
 
 }  // namespace midrr::inbound

@@ -87,10 +87,8 @@ void LinkTransmitter::try_send() {
 
   const SimDuration duration =
       jittered(transmission_time(packet->size_bytes, rate));
-  Packet p = std::move(*packet);
-  sim_.schedule_in(duration, [this, p = std::move(p), duration]() mutable {
-    complete(std::move(p), duration);
-  });
+  in_flight_ = std::move(*packet);
+  sim_.schedule_in(duration, [this, duration] { complete(duration); });
 }
 
 void LinkTransmitter::try_send_burst(double rate) {
@@ -119,8 +117,11 @@ void LinkTransmitter::try_send_burst(double rate) {
   sim_.schedule_in(total, [this, started] { complete_burst(started); });
 }
 
-void LinkTransmitter::complete(Packet p, SimDuration duration) {
+void LinkTransmitter::complete(SimDuration duration) {
   MIDRR_ASSERT(busy_, "completion while idle");
+  // The departure callback may re-enter notify_backlog and refill the slot,
+  // so the packet it is handed lives here, not in in_flight_.
+  const Packet p = std::move(in_flight_);
   busy_ = false;
   busy_time_ += duration;
   bytes_sent_ += p.size_bytes;

@@ -16,9 +16,13 @@
 // completion time; what changes is that all packets of a burst are chosen
 // at the burst's start (scheduling state is `opportunity` older at the
 // tail of a burst) and the link rate is sampled once per burst.  This
-// trades a bounded amount of decision freshness for an order of magnitude
-// fewer simulator events -- the per-packet constant factor that dominates
-// large sweeps.
+// trades a bounded amount of decision freshness for fewer simulator
+// events.  A per-packet event allocates nothing (the packet waits in the
+// in-flight slot, and the completion captures only the link and the
+// duration), so a burst saves per-packet call overhead -- an event-heap
+// push and pop, the completion and the provider call -- not allocations:
+// bench/sweep_scalability reads 1.4-1.7x the per-packet decision rate
+// with 25 ms bursts (Release, 4-core Xeon).
 #pragma once
 
 #include <cstdint>
@@ -92,7 +96,7 @@ class LinkTransmitter {
  private:
   void try_send();
   void try_send_burst(double rate);
-  void complete(Packet p, SimDuration duration);
+  void complete(SimDuration duration);
   void complete_burst(SimTime started_at);
   SimDuration jittered(SimDuration duration);
 
@@ -102,6 +106,7 @@ class LinkTransmitter {
   PacketProvider provider_;
   BurstProvider burst_provider_;
   SimDuration burst_opportunity_ = 0;
+  Packet in_flight_;                      // in-flight packet (per-packet mode)
   std::vector<Packet> burst_;             // in-flight batch (burst mode)
   std::vector<SimDuration> burst_durations_;
   DepartureCallback on_departure_;

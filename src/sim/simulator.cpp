@@ -1,5 +1,7 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
+
 #include "util/assert.hpp"
 
 namespace midrr {
@@ -7,7 +9,8 @@ namespace midrr {
 void Simulator::schedule_at(SimTime at, Action action) {
   MIDRR_REQUIRE(at >= now_, "scheduling into the past");
   MIDRR_REQUIRE(action != nullptr, "null event action");
-  queue_.push(Entry{at, next_seq_++, std::move(action)});
+  queue_.push_back(Entry{at, next_seq_++, std::move(action)});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
 }
 
 void Simulator::schedule_in(SimDuration delay, Action action) {
@@ -17,10 +20,9 @@ void Simulator::schedule_in(SimDuration delay, Action action) {
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
-  // priority_queue::top() is const; move out via const_cast is UB-adjacent,
-  // so copy the action handle (std::function copy) and pop.
-  Entry e = queue_.top();
-  queue_.pop();
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  Entry e = std::move(queue_.back());
+  queue_.pop_back();
   MIDRR_ASSERT(e.at >= now_, "event queue went backwards");
   now_ = e.at;
   ++executed_;
@@ -29,7 +31,7 @@ bool Simulator::step() {
 }
 
 void Simulator::run_until(SimTime horizon) {
-  while (!queue_.empty() && queue_.top().at <= horizon) {
+  while (!queue_.empty() && queue_.front().at <= horizon) {
     step();
   }
   if (now_ < horizon) now_ = horizon;

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "util/time.hpp"
@@ -23,7 +22,10 @@ class Simulator {
   /// Current simulated time.
   SimTime now() const { return now_; }
 
-  /// Schedules `action` to run at absolute time `at` (>= now).
+  /// Schedules `action` to run at absolute time `at` (>= now).  Once the
+  /// queue has grown, this allocates only when `action` itself does: a
+  /// trivially copyable capture of up to two pointers (libstdc++) fits
+  /// std::function's inline buffer, so per-packet events keep theirs there.
   void schedule_at(SimTime at, Action action);
 
   /// Schedules `action` to run `delay` (>= 0) after now.
@@ -58,7 +60,7 @@ class Simulator {
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  std::vector<Entry> queue_;  // binary heap under Later; front() is next
 };
 
 }  // namespace midrr

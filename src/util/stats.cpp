@@ -57,13 +57,8 @@ double Histogram::bucket_mid(std::size_t i) const {
   return lo_ + (static_cast<double>(i) + 0.5) * width_;
 }
 
-void EmpiricalCdf::add(double x) { add_weighted(x, 1.0); }
-
-void EmpiricalCdf::add_weighted(double x, double weight) {
-  MIDRR_REQUIRE(weight >= 0.0, "negative CDF sample weight");
-  if (weight == 0.0) return;
-  samples_.emplace_back(x, weight);
-  total_weight_ += weight;
+void EmpiricalCdf::add(double x) {
+  samples_.push_back(x);
   sorted_ = false;
 }
 
@@ -77,57 +72,52 @@ void EmpiricalCdf::sort_if_needed() const {
 double EmpiricalCdf::cdf(double x) const {
   if (samples_.empty()) return 0.0;
   sort_if_needed();
-  double acc = 0.0;
-  for (const auto& [v, w] : samples_) {
-    if (v > x) break;
-    acc += w;
-  }
-  return acc / total_weight_;
+  const auto at_or_below =
+      std::upper_bound(samples_.begin(), samples_.end(), x) - samples_.begin();
+  return static_cast<double>(at_or_below) /
+         static_cast<double>(samples_.size());
 }
 
 double EmpiricalCdf::quantile(double q) const {
   MIDRR_REQUIRE(q >= 0.0 && q <= 1.0, "quantile argument outside [0,1]");
   MIDRR_REQUIRE(!samples_.empty(), "quantile of an empty CDF");
   sort_if_needed();
-  const double target = q * total_weight_;
-  double acc = 0.0;
-  for (const auto& [v, w] : samples_) {
-    acc += w;
-    if (acc >= target) return v;
-  }
-  return samples_.back().first;
+  // The k-th smallest sample for the least k >= 1 with k >= q * n.
+  const double rank = std::ceil(q * static_cast<double>(samples_.size()));
+  const std::size_t k =
+      rank <= 1.0 ? 1
+                  : std::min(samples_.size(), static_cast<std::size_t>(rank));
+  return samples_[k - 1];
 }
 
 double EmpiricalCdf::min() const {
   MIDRR_REQUIRE(!samples_.empty(), "min of an empty CDF");
   sort_if_needed();
-  return samples_.front().first;
+  return samples_.front();
 }
 
 double EmpiricalCdf::max() const {
   MIDRR_REQUIRE(!samples_.empty(), "max of an empty CDF");
   sort_if_needed();
-  return samples_.back().first;
+  return samples_.back();
 }
 
 double EmpiricalCdf::mean() const {
   if (samples_.empty()) return 0.0;
   double acc = 0.0;
-  for (const auto& [v, w] : samples_) acc += v * w;
-  return acc / total_weight_;
+  for (const double v : samples_) acc += v;
+  return acc / static_cast<double>(samples_.size());
 }
 
 std::vector<std::pair<double, double>> EmpiricalCdf::curve() const {
   sort_if_needed();
   std::vector<std::pair<double, double>> out;
-  double acc = 0.0;
+  const auto n = static_cast<double>(samples_.size());
   for (std::size_t i = 0; i < samples_.size(); ++i) {
-    acc += samples_[i].second;
     const bool last_of_value =
-        (i + 1 == samples_.size()) ||
-        (samples_[i + 1].first != samples_[i].first);
+        (i + 1 == samples_.size()) || (samples_[i + 1] != samples_[i]);
     if (last_of_value) {
-      out.emplace_back(samples_[i].first, acc / total_weight_);
+      out.emplace_back(samples_[i], static_cast<double>(i + 1) / n);
     }
   }
   return out;
@@ -141,30 +131,44 @@ RateMeter::RateMeter(SimDuration bin, std::size_t window_bins)
 
 std::int64_t RateMeter::bin_index(SimTime t) const { return t / bin_; }
 
+std::size_t RateMeter::slot_of(std::int64_t bin) const {
+  const auto size = static_cast<std::int64_t>(ring_.size());
+  return static_cast<std::size_t>((bin % size + size) % size);
+}
+
 void RateMeter::record(SimTime t, std::uint64_t bytes) {
-  MIDRR_REQUIRE(bin_index(t) >= gc_floor_,
+  const std::int64_t bin = bin_index(t);
+  MIDRR_REQUIRE(bin >= gc_floor_,
                 "rate meter fed a timestamp older than its retention window");
+  if (ring_.empty()) ring_.assign(2 * window_bins_ + 1, 0);
+  // Retain the bins [newest - 2 * window, newest]: that covers any window
+  // query at or after the newest time seen, with slack for queries and
+  // records slightly in the past.  Each bin the newest advances over takes
+  // the slot of a bin that just fell out, so clear those slots first.
+  const std::int64_t previous = bin_index(last_time_);
   last_time_ = std::max(last_time_, t);
-  bins_[bin_index(t)] += bytes;
-  total_bytes_ += bytes;
-  // Garbage-collect bins that can no longer affect any window query at or
-  // after the newest time seen (keep a little slack so queries and records
-  // slightly in the past still work).
-  gc_floor_ = bin_index(last_time_) -
-              2 * static_cast<std::int64_t>(window_bins_);
-  while (!bins_.empty() && bins_.begin()->first < gc_floor_) {
-    bins_.erase(bins_.begin());
+  const std::int64_t newest = bin_index(last_time_);
+  const auto ring = static_cast<std::int64_t>(ring_.size());
+  for (std::int64_t b = previous + 1; b <= std::min(newest, previous + ring);
+       ++b) {
+    ring_[slot_of(b)] = 0;
   }
+  gc_floor_ = newest - 2 * static_cast<std::int64_t>(window_bins_);
+  // Only a first record before time 0 can land below the floor.
+  if (bin >= gc_floor_) ring_[slot_of(bin)] += bytes;
+  total_bytes_ += bytes;
 }
 
 double RateMeter::rate_bps(SimTime t) const {
   const std::int64_t end = bin_index(t);            // current (partial) bin
   const std::int64_t start = end - static_cast<std::int64_t>(window_bins_);
-  // Window covers the `window_bins_` full bins before the current one.
+  // Window covers the `window_bins_` full bins before the current one, of
+  // which only the retained ones hold bytes.
   std::uint64_t bytes = 0;
-  for (auto it = bins_.lower_bound(start); it != bins_.end() && it->first < end;
-       ++it) {
-    bytes += it->second;
+  if (!ring_.empty()) {
+    const std::int64_t from = std::max(start, gc_floor_);
+    const std::int64_t to = std::min(end, bin_index(last_time_) + 1);
+    for (std::int64_t b = from; b < to; ++b) bytes += ring_[slot_of(b)];
   }
   const SimDuration span = static_cast<SimDuration>(window_bins_) * bin_;
   return static_cast<double>(bytes) * 8.0 / to_seconds(span);

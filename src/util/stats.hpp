@@ -8,8 +8,8 @@
 
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/time.hpp"
@@ -65,18 +65,18 @@ class Histogram {
   std::uint64_t overflow_ = 0;
 };
 
-/// Stores samples and answers quantile/CDF queries exactly.
-/// Used for the scheduling-latency CDF (Fig 9) and the concurrent-flow CDF
-/// (Fig 7), where sample counts are modest.
+/// Stores samples and answers quantile/CDF queries exactly, at 8 bytes per
+/// sample.  Used for the scheduling-latency CDF (Fig 9), the concurrent-flow
+/// CDF (Fig 7) and ScenarioRunner's per-packet queueing delays, where it
+/// holds one sample per departure.
 class EmpiricalCdf {
  public:
   void add(double x);
-  void add_weighted(double x, double weight);
 
   std::size_t size() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }
 
-  /// P(X <= x) over the recorded samples (weighted).
+  /// P(X <= x) over the recorded samples.
   double cdf(double x) const;
   /// Smallest recorded value v with cdf(v) >= q, q in [0, 1].
   double quantile(double q) const;
@@ -91,14 +91,15 @@ class EmpiricalCdf {
  private:
   void sort_if_needed() const;
 
-  mutable std::vector<std::pair<double, double>> samples_;  // (value, weight)
+  mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
-  double total_weight_ = 0.0;
 };
 
 /// Measures the rate of a byte stream over a sliding window of fixed-size
 /// time bins; rate(t) is computed over the most recent `window_bins` bins.
 /// This mirrors how the paper plots per-flow rate over time (Fig 6/10).
+/// The retained bins live in a ring of 2 * window_bins + 1 counters,
+/// allocated by the first record, so recording never allocates after that.
 class RateMeter {
  public:
   /// `bin` is the sampling granularity, `window_bins` the smoothing window.
@@ -120,11 +121,13 @@ class RateMeter {
 
  private:
   std::int64_t bin_index(SimTime t) const;
+  std::size_t slot_of(std::int64_t bin) const;
 
   SimDuration bin_;
   std::size_t window_bins_;
-  // bin index -> bytes in that bin; only recent bins are retained.
-  std::map<std::int64_t, std::uint64_t> bins_;
+  // Bytes of bin b at ring_[b mod ring_.size()], for b in [gc_floor_,
+  // bin_index(last_time_)]; older bins are dropped as the newest advances.
+  std::vector<std::uint64_t> ring_;
   std::uint64_t total_bytes_ = 0;
   SimTime last_time_ = 0;
   std::int64_t gc_floor_ = std::numeric_limits<std::int64_t>::min();

@@ -1,10 +1,11 @@
 // Per-flow scheduler footprint: live heap bytes a scheduler holds per
 // registered flow, and per flow once it has carried one packet, for the two
 // policies the runtime runs at scale (kMiDrr, kHierMiDrr), with 100k flows
-// on 4 interfaces.  The global operator new / delete are replaced in this
-// executable only (each test file links into its own binary), so every heap
-// byte the scheduler keeps is counted exactly, independent of the
-// allocator's own rounding and caching.
+// on 4 interfaces; and the heap allocations a simulated departure costs
+// on the ScenarioRunner path.  The global operator new / delete are
+// replaced in this executable only (each test file links into its own
+// binary), so every heap byte and allocation is counted exactly,
+// independent of the allocator's own rounding and caching.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +14,9 @@
 #include <new>
 #include <vector>
 
+#include "core/scenario.hpp"
 #include "sched/scheduler.hpp"
+#include "sim_shape.hpp"
 
 namespace {
 
@@ -138,6 +141,35 @@ TEST(FlowFootprint, HierMiDrrPerFlowStateIsSizedToTheFlow) {
   // Joining an interned class refills one reused lookup key, so only the
   // class's first member allocates.
   EXPECT_LT(fp.registration_allocations, static_cast<long long>(kFlows / 100));
+}
+
+// The sim benchmark's shape, warmed to 0.25 s, then one more simulated
+// second (about 250k departures) including the run() that returns its
+// result.  Everything a departure touches -- the event heap, the link's
+// in-flight slot, the source refill, the rate meter and the delay sample
+// -- reuses storage, so what remains is amortised vector growth and the
+// result copies.  Budget 0.02; about 3 allocations per departure were
+// made when each event copied its std::function, each completion boxed
+// its packet and each refill returned a vector.
+TEST(SimFootprint, ADepartureAllocatesAlmostNothing) {
+  const Scenario scenario = test_shapes::sim_shaped_scenario();
+  ScenarioRunner runner(scenario, Policy::kMiDrr);
+  const ScenarioResult warm = runner.run(250 * kMillisecond);
+
+  const long long allocs0 = g_allocations.load();
+  const ScenarioResult done = runner.run(1250 * kMillisecond);
+  const long long allocations = g_allocations.load() - allocs0;
+
+  std::size_t departures = 0;
+  for (std::size_t i = 0; i < done.flows.size(); ++i) {
+    departures += done.flows[i].delay_ns.size() - warm.flows[i].delay_ns.size();
+  }
+  ASSERT_GT(departures, 200'000u);
+  RecordProperty("allocations", static_cast<int>(allocations));
+  RecordProperty("departures", static_cast<int>(departures));
+  EXPECT_LE(static_cast<double>(allocations) / static_cast<double>(departures),
+            0.02)
+      << allocations << " allocations over " << departures << " departures";
 }
 
 }  // namespace

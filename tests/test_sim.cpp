@@ -2,6 +2,7 @@
 // transmitters.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/link.hpp"
@@ -189,6 +190,32 @@ TEST(LinkTransmitter, ProviderPulledLazily) {
   link.notify_backlog();
   sim.run();
   EXPECT_EQ(pulls, 4);  // 3 packets + 1 final empty pull
+}
+
+TEST(LinkTransmitter, DepartureCallbackMayRestartTheLink) {
+  // A departure callback may start the link's next transmission itself;
+  // the packet it was handed must outlive that restart.
+  Simulator sim;
+  std::uint64_t next_seq = 0;
+  std::vector<std::pair<FlowId, std::uint64_t>> departed;
+  LinkTransmitter* self = nullptr;
+  LinkTransmitter link(
+      sim, 0, RateProfile(1e6),
+      [&](IfaceId, SimTime) -> std::optional<Packet> {
+        if (next_seq == 3) return std::nullopt;
+        const std::uint64_t seq = next_seq++;
+        return Packet(static_cast<FlowId>(10 + seq), 1000, seq);
+      },
+      [&](IfaceId, const Packet& packet, SimTime) {
+        self->notify_backlog();
+        EXPECT_EQ(self->busy(), packet.seq < 2);  // the restart took
+        departed.emplace_back(packet.flow, packet.seq);
+      });
+  self = &link;
+  link.notify_backlog();
+  sim.run();
+  EXPECT_EQ(departed, (std::vector<std::pair<FlowId, std::uint64_t>>{
+                          {10, 0}, {11, 1}, {12, 2}}));
 }
 
 

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -99,15 +100,6 @@ TEST(EmpiricalCdf, QuantilesAndCurve) {
   EXPECT_DOUBLE_EQ(curve.back().second, 1.0);
 }
 
-TEST(EmpiricalCdf, WeightedSamples) {
-  EmpiricalCdf cdf;
-  cdf.add_weighted(1.0, 9.0);
-  cdf.add_weighted(2.0, 1.0);
-  EXPECT_DOUBLE_EQ(cdf.cdf(1.0), 0.9);
-  EXPECT_DOUBLE_EQ(cdf.quantile(0.95), 2.0);
-  EXPECT_NEAR(cdf.mean(), 1.1, 1e-12);
-}
-
 TEST(RateMeter, WindowedRate) {
   RateMeter meter(100 * kMillisecond, 10);  // 1 s window
   // 1000 bytes every 100 ms for 2 s -> 80 kb/s.
@@ -129,6 +121,54 @@ TEST(RateMeter, RejectsOutOfOrder) {
   RateMeter meter(kMillisecond);
   meter.record(10 * kMillisecond, 1);
   EXPECT_THROW(meter.record(5 * kMillisecond, 1), PreconditionError);
+}
+
+TEST(RateMeter, AnswersFromExactlyTheRetainedBins) {
+  // Reference: every record summed into its bin; a query counts the bins
+  // of its window that the meter still retains, [newest - 2W, newest].
+  // Records step forward, jump idle gaps longer than the retention, and
+  // lag the newest time by up to the whole retention window.
+  constexpr SimDuration kBin = 10 * kMillisecond;
+  constexpr std::int64_t kWindow = 3;
+  RateMeter meter(kBin, kWindow);
+  std::map<std::int64_t, std::uint64_t> bins;
+  std::uint64_t total = 0;
+  SimTime newest = 0;
+  const auto reference_bps = [&](SimTime at) {
+    const std::int64_t end = at / kBin;
+    const std::int64_t from =
+        std::max(end - kWindow, newest / kBin - 2 * kWindow);
+    std::uint64_t bytes = 0;
+    for (const auto& [bin, b] : bins) {
+      if (bin >= from && bin < end) bytes += b;
+    }
+    return static_cast<double>(bytes) * 8.0 / to_seconds(kWindow * kBin);
+  };
+  Rng rng(7);
+  for (int i = 0; i < 4000; ++i) {
+    const double u = rng.uniform(0.0, 1.0);
+    SimTime at = newest;
+    if (u < 0.05) {
+      at = newest + rng.uniform_int(1, 12) * kBin;
+    } else if (u < 0.6) {
+      at = newest + rng.uniform_int(0, kBin / 2);
+    } else {
+      const std::int64_t floor_bin =
+          std::max<std::int64_t>(0, newest / kBin - 2 * kWindow);
+      at = rng.uniform_int(floor_bin * kBin, newest);
+    }
+    const auto bytes = static_cast<std::uint64_t>(rng.uniform_int(1, 1500));
+    meter.record(at, bytes);
+    bins[at / kBin] += bytes;
+    total += bytes;
+    newest = std::max(newest, at);
+    for (std::int64_t k = -2 * kWindow - 2; k <= kWindow + 2; ++k) {
+      const SimTime query = newest + k * kBin / 2;
+      if (query < 0) continue;
+      ASSERT_EQ(meter.rate_bps(query), reference_bps(query)) << "record " << i;
+    }
+  }
+  EXPECT_EQ(meter.total_bytes(), total);
 }
 
 TEST(TimeSeries, MeanOverWindow) {
