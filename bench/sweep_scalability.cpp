@@ -21,8 +21,7 @@ struct SweepPoint {
   std::size_t ifaces;
 };
 
-void run_point(const SweepPoint& p, SimDuration burst_opportunity,
-               midrr::bench::Table& table) {
+void run_point(const SweepPoint& p, midrr::bench::Table& table) {
   Rng rng(7);
   Scenario sc;
   std::vector<std::string> iface_names;
@@ -41,8 +40,7 @@ void run_point(const SweepPoint& p, SimDuration burst_opportunity,
 
   const SimTime sim_duration = 20 * kSecond;
   const auto t0 = std::chrono::steady_clock::now();
-  ScenarioRunner runner(sc, Policy::kMiDrr,
-                        RunnerOptions{.burst_opportunity = burst_opportunity});
+  ScenarioRunner runner(sc, Policy::kMiDrr);
   const auto result = runner.run(sim_duration);
   const auto t1 = std::chrono::steady_clock::now();
 
@@ -54,11 +52,9 @@ void run_point(const SweepPoint& p, SimDuration burst_opportunity,
       std::chrono::duration<double>(t1 - t0).count();
   const double sim_per_wall = to_seconds(sim_duration) / wall_s;
   const double decisions_per_s = static_cast<double>(packets) / wall_s;
-  table.row_values(
-      std::to_string(p.flows) + "x" + std::to_string(p.ifaces) +
-          (burst_opportunity > 0 ? " burst" : ""),
-      {sim_per_wall, decisions_per_s / 1e6,
-       decisions_per_s > 0 ? 1e9 / decisions_per_s : 0.0});
+  table.row_values(std::to_string(p.flows) + "x" + std::to_string(p.ifaces),
+                   {sim_per_wall, decisions_per_s / 1e6,
+                    decisions_per_s > 0 ? 1e9 / decisions_per_s : 0.0});
 }
 
 }  // namespace
@@ -74,10 +70,7 @@ int main(int, char**) {
                              SweepPoint{64, 8}, SweepPoint{256, 8},
                              SweepPoint{1024, 8}, SweepPoint{256, 16},
                              SweepPoint{1024, 16}}) {
-    run_point(p, /*burst_opportunity=*/0, table);
-    // Same point with batched transmit opportunities (25 ms of link time
-    // per simulator event; departures stay per-packet).
-    run_point(p, /*burst_opportunity=*/25 * kMillisecond, table);
+    run_point(p, table);
   }
   std::cout << "\nreading guide: this measures the WHOLE simulation loop\n"
                "(event queue, source refill, rate and delay recording --\n"

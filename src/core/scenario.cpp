@@ -62,6 +62,8 @@ struct ScenarioRunner::FlowRuntime {
   EmpiricalCdf delay_ns;
   std::optional<SimTime> completed_at;
   bool started = false;
+  Simulator::EventHandle arrival;  // fires the flow's one pending arrival
+  std::uint32_t arrival_size = 0;  // size of that pending arrival
 
   FlowRuntime(SimDuration bin, std::size_t window, std::string name)
       : meter(bin, window), rate_series(std::move(name)) {}
@@ -109,31 +111,6 @@ ScenarioRunner::ScenarioRunner(const Scenario& scenario, Policy policy,
     };
     links_.push_back(std::make_unique<LinkTransmitter>(
         sim_, id, spec.profile, std::move(provider), std::move(departure)));
-    if (options_.burst_opportunity > 0) {
-      // Batched draining: pull whole transmit opportunities through
-      // dequeue_burst, refilling backlogged sources after each chunk so a
-      // deep burst does not starve against a shallow source window.
-      links_.back()->set_burst(
-          [this](IfaceId j, std::uint64_t budget, SimTime now,
-                 std::vector<Packet>& out) -> std::size_t {
-            std::size_t total = 0;
-            std::uint64_t bytes = 0;
-            while (bytes < budget) {
-              const std::size_t first = out.size();
-              if (scheduler_->dequeue_burst(j, budget - bytes, now, out) ==
-                  0) {
-                break;
-              }
-              for (std::size_t k = first; k < out.size(); ++k) {
-                bytes += out[k].size_bytes;
-                refill_source(out[k].flow, out[k].size_bytes);
-              }
-              total += out.size() - first;
-            }
-            return total;
-          },
-          options_.burst_opportunity);
-    }
     if (options_.link_jitter > 0.0) {
       links_.back()->set_jitter(options_.link_jitter,
                                 options_.seed * 1000003 + id);
@@ -148,7 +125,12 @@ ScenarioRunner::ScenarioRunner(const Scenario& scenario, Policy policy,
   for (const ScenarioFlowSpec& spec : scenario.flows()) {
     flows_.push_back(std::make_unique<FlowRuntime>(
         options_.sample_interval, options_.rate_window_bins, spec.name));
+    const std::size_t index = flows_.size() - 1;
+    flows_[index]->arrival =
+        sim_.make_event([this, index] { on_arrival(index); });
   }
+  sample_event_ = sim_.make_event([this] { sample_rates(); });
+  cluster_event_ = sim_.make_event([this] { snapshot_clusters(); });
   window_bytes_.assign(scenario.flows().size(),
                        std::vector<std::uint64_t>(links_.size(), 0));
 }
@@ -216,11 +198,13 @@ void ScenarioRunner::pump_arrivals(std::size_t index) {
   FlowRuntime& rt = *flows_[index];
   const auto emission = rt.source->next_arrival(rng_);
   if (!emission) return;
-  const std::uint32_t size = emission->size_bytes;
-  sim_.schedule_in(emission->gap, [this, index, size] {
-    enqueue_for(index, size);
-    pump_arrivals(index);
-  });
+  rt.arrival_size = emission->size_bytes;
+  sim_.schedule_in(emission->gap, rt.arrival);
+}
+
+void ScenarioRunner::on_arrival(std::size_t index) {
+  enqueue_for(index, flows_[index]->arrival_size);
+  pump_arrivals(index);
 }
 
 void ScenarioRunner::kick_transmitters(FlowId flow) {
@@ -251,7 +235,7 @@ void ScenarioRunner::sample_rates() {
     flow->rate_series.add(sim_.now(),
                           to_mbps(flow->meter.rate_bps(sim_.now())));
   }
-  sim_.schedule_in(options_.sample_interval, [this] { sample_rates(); });
+  sim_.schedule_in(options_.sample_interval, sample_event_);
 }
 
 fair::MaxMinInput ScenarioRunner::current_input() const {
@@ -302,7 +286,7 @@ void ScenarioRunner::snapshot_clusters() {
   }
   snap.rendering = fair::format_clusters(snap.analysis, flow_names, iface_names);
   cluster_log_.push_back(std::move(snap));
-  sim_.schedule_in(options_.cluster_interval, [this] { snapshot_clusters(); });
+  sim_.schedule_in(options_.cluster_interval, cluster_event_);
 }
 
 ScenarioResult ScenarioRunner::run(SimTime until) {
@@ -323,10 +307,9 @@ ScenarioResult ScenarioRunner::run(SimTime until) {
 
     // Periodic sampling: each tick reschedules the next one unconditionally;
     // run_until() simply leaves future ticks pending.
-    sim_.schedule_in(options_.sample_interval, [this] { sample_rates(); });
+    sim_.schedule_in(options_.sample_interval, sample_event_);
     if (options_.cluster_interval > 0) {
-      sim_.schedule_in(options_.cluster_interval,
-                       [this] { snapshot_clusters(); });
+      sim_.schedule_in(options_.cluster_interval, cluster_event_);
     }
   }
 

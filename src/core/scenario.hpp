@@ -127,12 +127,6 @@ struct RunnerOptions {
   /// Per-transmission service-time jitter fraction (see
   /// LinkTransmitter::set_jitter); 0 = fully deterministic links.
   double link_jitter = 0.0;
-  /// Batched transmission: when positive, each link drains up to this much
-  /// transmission time per simulator event (LinkTransmitter::set_burst fed
-  /// by Scheduler::dequeue_burst) instead of one event per packet.
-  /// Departure timestamps stay per-packet; scheduling decisions within a
-  /// burst all see the burst-start clock.  0 = classic per-packet events.
-  SimDuration burst_opportunity = 0;
 };
 
 class ScenarioRunner {
@@ -156,6 +150,7 @@ class ScenarioRunner {
   void refill_source(FlowId flow, std::uint32_t dequeued_bytes);
   std::size_t index_of(FlowId flow) const;
   void pump_arrivals(std::size_t index);
+  void on_arrival(std::size_t index);
   void kick_transmitters(FlowId flow);
   void on_departure(IfaceId iface, const Packet& packet, SimTime at);
   void sample_rates();
@@ -172,6 +167,8 @@ class ScenarioRunner {
   std::vector<std::size_t> index_by_flow_id_;  // FlowId -> flows_ index
   std::vector<std::vector<std::uint64_t>> window_bytes_;  // [flow][iface]
   std::vector<ClusterSnapshot> cluster_log_;
+  Simulator::EventHandle sample_event_;
+  Simulator::EventHandle cluster_event_;
   SimTime horizon_ = 0;
   bool armed_ = false;
 };

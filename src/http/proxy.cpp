@@ -104,6 +104,8 @@ HttpRangeProxy::HttpRangeProxy(std::vector<ProxyInterfaceSpec> ifaces,
   }
   window_bytes_.assign(flows_.size(),
                        std::vector<std::uint64_t>(links_.size(), 0));
+  sample_event_ = sim_.make_event([this] { sample(); });
+  cluster_event_ = sim_.make_event([this] { snapshot_clusters(); });
 }
 
 HttpRangeProxy::~HttpRangeProxy() = default;
@@ -168,7 +170,7 @@ void HttpRangeProxy::sample() {
   for (auto& flow : flows_) {
     flow->series.add(sim_.now(), to_mbps(flow->goodput.rate_bps(sim_.now())));
   }
-  sim_.schedule_in(options_.sample_interval, [this] { sample(); });
+  sim_.schedule_in(options_.sample_interval, sample_event_);
 }
 
 void HttpRangeProxy::snapshot_clusters() {
@@ -202,7 +204,7 @@ void HttpRangeProxy::snapshot_clusters() {
   for (const auto& spec : iface_specs_) iface_names.push_back(spec.name);
   snap.rendering = fair::format_clusters(snap.analysis, flow_names, iface_names);
   cluster_log_.push_back(std::move(snap));
-  sim_.schedule_in(options_.cluster_interval, [this] { snapshot_clusters(); });
+  sim_.schedule_in(options_.cluster_interval, cluster_event_);
 }
 
 ProxyResult HttpRangeProxy::run(SimTime duration) {
@@ -212,9 +214,9 @@ ProxyResult HttpRangeProxy::run(SimTime duration) {
   for (const auto& link : links_) link->notify_backlog();
 
   // Each sampler tick reschedules the next one.
-  sim_.schedule_in(options_.sample_interval, [this] { sample(); });
+  sim_.schedule_in(options_.sample_interval, sample_event_);
   if (options_.cluster_interval > 0) {
-    sim_.schedule_in(options_.cluster_interval, [this] { snapshot_clusters(); });
+    sim_.schedule_in(options_.cluster_interval, cluster_event_);
   }
 
   sim_.run_until(duration);

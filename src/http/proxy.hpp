@@ -116,6 +116,8 @@ class HttpRangeProxy {
   std::vector<std::size_t> index_by_flow_id_;  // FlowId -> flows_ index
   std::vector<std::vector<std::uint64_t>> window_bytes_;  // [flow][iface]
   std::vector<ProxyClusterSnapshot> cluster_log_;
+  Simulator::EventHandle sample_event_;
+  Simulator::EventHandle cluster_event_;
   std::uint64_t requests_sent_ = 0;
   std::uint64_t request_header_bytes_ = 0;
 };

@@ -21,6 +21,8 @@ struct RemoteProxy::FlowState {
   RateMeter goodput;
   TimeSeries series;
   std::vector<std::uint64_t> bytes_per_path;
+  Simulator::EventHandle arrival;  // fires the flow's one pending arrival
+  std::uint32_t arrival_size = 0;  // size of that pending arrival
 
   FlowState(SimDuration bin, std::size_t window, std::string name,
             std::size_t path_count)
@@ -87,9 +89,12 @@ RemoteProxy::RemoteProxy(std::vector<PathSpec> paths,
       index_by_flow_id_.resize(static_cast<std::size_t>(state->id) + 1,
                                kNoIndex);
     }
-    index_by_flow_id_[state->id] = flows_.size();
+    const std::size_t index = flows_.size();
+    index_by_flow_id_[state->id] = index;
+    state->arrival = sim_.make_event([this, index] { on_arrival(index); });
     flows_.push_back(std::move(state));
   }
+  sample_event_ = sim_.make_event([this] { sample(); });
 }
 
 RemoteProxy::~RemoteProxy() = default;
@@ -115,11 +120,13 @@ void RemoteProxy::pump_arrivals(std::size_t index) {
   FlowState& flow = *flows_[index];
   const auto emission = flow.source->next_arrival(rng_);
   if (!emission) return;
-  const std::uint32_t size = emission->size_bytes;
-  sim_.schedule_in(emission->gap, [this, index, size] {
-    enqueue_for(index, size);
-    pump_arrivals(index);
-  });
+  flow.arrival_size = emission->size_bytes;
+  sim_.schedule_in(emission->gap, flow.arrival);
+}
+
+void RemoteProxy::on_arrival(std::size_t index) {
+  enqueue_for(index, flows_[index]->arrival_size);
+  pump_arrivals(index);
 }
 
 void RemoteProxy::on_path_departure(IfaceId path, const Packet& packet,
@@ -149,7 +156,7 @@ void RemoteProxy::sample() {
     flow->series.add(sim_.now(),
                      to_mbps(flow->goodput.rate_bps(sim_.now())));
   }
-  sim_.schedule_in(options_.sample_interval, [this] { sample(); });
+  sim_.schedule_in(options_.sample_interval, sample_event_);
 }
 
 InboundResult RemoteProxy::run(SimTime duration) {
@@ -162,7 +169,7 @@ InboundResult RemoteProxy::run(SimTime duration) {
   for (const auto& path : paths_) path->notify_backlog();
 
   // Each sampler tick reschedules the next one.
-  sim_.schedule_in(options_.sample_interval, [this] { sample(); });
+  sim_.schedule_in(options_.sample_interval, sample_event_);
 
   sim_.run_until(duration);
 

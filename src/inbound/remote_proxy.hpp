@@ -82,6 +82,7 @@ class RemoteProxy {
   std::size_t index_of(FlowId flow) const;  // kNoIndex if unknown
   void enqueue_for(std::size_t index, std::uint32_t size);
   void pump_arrivals(std::size_t index);
+  void on_arrival(std::size_t index);
   void on_path_departure(IfaceId path, const Packet& packet, SimTime at);
   void deliver(std::size_t index, IfaceId path, Packet packet, SimTime at);
   void sample();
@@ -96,6 +97,7 @@ class RemoteProxy {
   std::vector<std::unique_ptr<FlowState>> flows_;
   static constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
   std::vector<std::size_t> index_by_flow_id_;  // FlowId -> flows_ index
+  Simulator::EventHandle sample_event_;
 };
 
 }  // namespace midrr::inbound

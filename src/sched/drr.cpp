@@ -59,8 +59,13 @@ const FlowRing* DrrFamilyScheduler::ring_if_present(IfaceId iface) const {
 }
 
 void DrrFamilyScheduler::remove_from_all_rings(FlowId flow) {
-  for (IfaceId j = 0; j < rings_.size(); ++j) {
-    if (rings_[j].contains(flow)) rings_[j].remove(flow);
+  // Ring j only ever holds flows willing on j: on_willing_changed removes a
+  // flow that turns unwilling, remove_interface resets the ring before the
+  // column is zeroed, and remove_flow runs its hook before the row is
+  // cleared.  So only the flow's willing rings need a look.
+  const std::span<const std::uint8_t> row = preferences().willing_row(flow);
+  for (IfaceId j = 0; j < row.size() && j < rings_.size(); ++j) {
+    if (row[j] != 0 && rings_[j].contains(flow)) rings_[j].remove(flow);
   }
 }
 

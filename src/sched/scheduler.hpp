@@ -5,7 +5,7 @@
 // and the service accounting needed to verify fairness.  The data-path
 // contract is the paper's: `dequeue(j, now)` answers "interface j is free;
 // which packet should it send?".  Transmitters that get a whole transmit
-// opportunity at once (simulator links in burst mode, the kernel bridge)
+// opportunity at once (the runtime's workers, the kernel bridge)
 // use `dequeue_burst(j, byte_budget, now)` to drain it in one call.
 // Policies (DRR, miDRR, WFQ, ...) implement `select()` plus
 // topology-change hooks.

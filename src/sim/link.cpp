@@ -15,19 +15,16 @@ LinkTransmitter::LinkTransmitter(Simulator& sim, IfaceId iface,
       provider_(std::move(provider)),
       on_departure_(std::move(on_departure)) {
   MIDRR_REQUIRE(provider_ != nullptr, "link needs a packet provider");
+  completion_ = sim_.make_event([this] { complete(); });
+  wakeup_ = sim_.make_event([this] {
+    wakeup_pending_ = false;
+    notify_backlog();
+  });
 }
 
 void LinkTransmitter::set_enabled(bool enabled) {
   enabled_ = enabled;
   if (enabled_) notify_backlog();
-}
-
-void LinkTransmitter::set_burst(BurstProvider provider,
-                                SimDuration opportunity) {
-  MIDRR_REQUIRE(provider == nullptr || opportunity > 0,
-                "burst opportunity must be positive");
-  burst_provider_ = std::move(provider);
-  burst_opportunity_ = burst_provider_ ? opportunity : 0;
 }
 
 void LinkTransmitter::set_jitter(double fraction, std::uint64_t seed) {
@@ -66,16 +63,8 @@ void LinkTransmitter::try_send() {
     const SimTime next = profile_.next_change_after(sim_.now());
     if (next != kSimTimeMax && !wakeup_pending_) {
       wakeup_pending_ = true;
-      sim_.schedule_at(next, [this] {
-        wakeup_pending_ = false;
-        notify_backlog();
-      });
+      sim_.schedule_at(next, wakeup_);
     }
-    return;
-  }
-
-  if (burst_provider_) {
-    try_send_burst(rate);
     return;
   }
 
@@ -85,68 +74,21 @@ void LinkTransmitter::try_send() {
     return;
   }
 
-  const SimDuration duration =
-      jittered(transmission_time(packet->size_bytes, rate));
+  in_flight_duration_ = jittered(transmission_time(packet->size_bytes, rate));
   in_flight_ = std::move(*packet);
-  sim_.schedule_in(duration, [this, duration] { complete(duration); });
+  sim_.schedule_in(in_flight_duration_, completion_);
 }
 
-void LinkTransmitter::try_send_burst(double rate) {
-  // Byte budget the link can move within one opportunity at the rate in
-  // effect at the burst's start (rate changes mid-burst are not re-priced;
-  // keep the opportunity shorter than the profile's change granularity).
-  // At least one byte so the provider never sees an empty budget.
-  const double budget_bytes = rate * to_seconds(burst_opportunity_) / 8.0;
-  const std::uint64_t budget =
-      budget_bytes < 1.0 ? 1 : static_cast<std::uint64_t>(budget_bytes);
-
-  burst_.clear();
-  burst_durations_.clear();
-  if (burst_provider_(iface_, budget, sim_.now(), burst_) == 0) {
-    busy_ = false;
-    return;
-  }
-
-  SimDuration total = 0;
-  for (const Packet& p : burst_) {
-    const SimDuration d = jittered(transmission_time(p.size_bytes, rate));
-    burst_durations_.push_back(d);
-    total += d;
-  }
-  const SimTime started = sim_.now();
-  sim_.schedule_in(total, [this, started] { complete_burst(started); });
-}
-
-void LinkTransmitter::complete(SimDuration duration) {
+void LinkTransmitter::complete() {
   MIDRR_ASSERT(busy_, "completion while idle");
   // The departure callback may re-enter notify_backlog and refill the slot,
   // so the packet it is handed lives here, not in in_flight_.
   const Packet p = std::move(in_flight_);
   busy_ = false;
-  busy_time_ += duration;
+  busy_time_ += in_flight_duration_;
   bytes_sent_ += p.size_bytes;
   ++packets_sent_;
   if (on_departure_) on_departure_(iface_, p, sim_.now());
-  try_send();
-}
-
-void LinkTransmitter::complete_burst(SimTime started_at) {
-  MIDRR_ASSERT(busy_, "completion while idle");
-  // busy_ stays set while departures are replayed: a departure callback can
-  // refill sources and re-enter notify_backlog, which must not start a new
-  // burst while burst_ is still being drained.
-  SimTime at = started_at;
-  for (std::size_t i = 0; i < burst_.size(); ++i) {
-    const SimDuration d = burst_durations_[i];
-    at += d;
-    busy_time_ += d;
-    bytes_sent_ += burst_[i].size_bytes;
-    ++packets_sent_;
-    if (on_departure_) on_departure_(iface_, burst_[i], at);
-  }
-  burst_.clear();
-  burst_durations_.clear();
-  busy_ = false;
   try_send();
 }
 

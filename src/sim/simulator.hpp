@@ -9,6 +9,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "util/time.hpp"
@@ -19,16 +21,35 @@ class Simulator {
  public:
   using Action = std::function<void()>;
 
+  /// Names a recurring event registered with make_event.
+  struct EventHandle {
+    std::uint32_t slot = std::numeric_limits<std::uint32_t>::max();
+  };
+
   /// Current simulated time.
   SimTime now() const { return now_; }
 
-  /// Schedules `action` to run at absolute time `at` (>= now).  Once the
-  /// queue has grown, this allocates only when `action` itself does: a
-  /// trivially copyable capture of up to two pointers (libstdc++) fits
-  /// std::function's inline buffer, so per-packet events keep theirs there.
+  /// Registers `action` as a recurring event and returns its handle; the
+  /// action runs once per arming (schedule_at / schedule_in with the
+  /// handle), not at registration.  The action stays in its slot for the
+  /// simulator's lifetime and runs there, so it may re-arm its own handle.
+  EventHandle make_event(Action action);
+
+  /// Arms `event` to fire at absolute time `at` (>= now).  Constructs and
+  /// moves no Action: the heap entry is a (time, sequence, slot) triple.
+  /// A handle armed n times fires n times.
+  void schedule_at(SimTime at, EventHandle event);
+
+  /// Arms `event` to fire `delay` (>= 0) after now.
+  void schedule_in(SimDuration delay, EventHandle event);
+
+  /// Schedules the one-shot `action` to run at absolute time `at` (>= now).
+  /// The action moves into a recycled slot here and out of it when it
+  /// fires, never while the heap reorders; recurring events should use a
+  /// handle instead.
   void schedule_at(SimTime at, Action action);
 
-  /// Schedules `action` to run `delay` (>= 0) after now.
+  /// Schedules the one-shot `action` to run `delay` (>= 0) after now.
   void schedule_in(SimDuration delay, Action action);
 
   /// Runs events until the queue empties or the next event is past
@@ -48,7 +69,7 @@ class Simulator {
   struct Entry {
     SimTime at;
     std::uint64_t seq;
-    Action action;
+    std::uint32_t slot;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -56,11 +77,28 @@ class Simulator {
       return a.seq > b.seq;
     }
   };
+  struct Slot {
+    Action action;
+    bool recurring = false;
+  };
+  // Slots live in fixed chunks, so growing the table never moves an action
+  // (a running action may schedule events that grow it).
+  static constexpr std::uint32_t kChunkBits = 6;
+  static constexpr std::uint32_t kChunkSlots = 1u << kChunkBits;
+
+  Slot& slot(std::uint32_t index) {
+    return chunks_[index >> kChunkBits][index & (kChunkSlots - 1)];
+  }
+  std::uint32_t new_slot();
+  void push(SimTime at, std::uint32_t slot);
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::vector<Entry> queue_;  // binary heap under Later; front() is next
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::uint32_t slot_count_ = 0;
+  std::vector<std::uint32_t> free_slots_;  // fired one-shot slots
 };
 
 }  // namespace midrr

@@ -137,6 +137,12 @@ std::size_t RateMeter::slot_of(std::int64_t bin) const {
 }
 
 void RateMeter::record(SimTime t, std::uint64_t bytes) {
+  if (t >= newest_from_ && t < newest_to_) {  // the newest bin: one add
+    ring_[newest_slot_] += bytes;
+    last_time_ = std::max(last_time_, t);
+    total_bytes_ += bytes;
+    return;
+  }
   const std::int64_t bin = bin_index(t);
   MIDRR_REQUIRE(bin >= gc_floor_,
                 "rate meter fed a timestamp older than its retention window");
@@ -157,6 +163,13 @@ void RateMeter::record(SimTime t, std::uint64_t bytes) {
   // Only a first record before time 0 can land below the floor.
   if (bin >= gc_floor_) ring_[slot_of(bin)] += bytes;
   total_bytes_ += bytes;
+  // last_time_ >= 0, so the newest bin holds exactly the times
+  // [newest * bin_, (newest + 1) * bin_).
+  newest_from_ = newest * bin_;
+  newest_to_ = newest_from_ > std::numeric_limits<SimTime>::max() - bin_
+                   ? std::numeric_limits<SimTime>::max()
+                   : newest_from_ + bin_;
+  newest_slot_ = slot_of(newest);
 }
 
 double RateMeter::rate_bps(SimTime t) const {

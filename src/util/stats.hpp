@@ -107,8 +107,8 @@ class RateMeter {
 
   /// Records `bytes` transferred at simulated time `t`.  Bounded reordering
   /// is accepted: `t` may lag the newest record by up to the retention
-  /// window (2x the smoothing window), which covers burst-mode links
-  /// replaying one batch of per-packet departures per interface.
+  /// window (2x the smoothing window).  A record in the newest bin is one
+  /// add to that bin's cached slot.
   void record(SimTime t, std::uint64_t bytes);
 
   /// Average rate in bits per second over the window ending at time `t`.
@@ -131,6 +131,11 @@ class RateMeter {
   std::uint64_t total_bytes_ = 0;
   SimTime last_time_ = 0;
   std::int64_t gc_floor_ = std::numeric_limits<std::int64_t>::min();
+  // The newest bin's times [newest_from_, newest_to_) and its ring slot;
+  // empty until the first record.
+  SimTime newest_from_ = 0;
+  SimTime newest_to_ = 0;
+  std::size_t newest_slot_ = 0;
 };
 
 /// An append-only (time, value) series with named identity; the CSV/plot

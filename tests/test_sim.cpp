@@ -64,6 +64,91 @@ TEST(Simulator, RejectsPastScheduling) {
   EXPECT_THROW(sim.schedule_in(-1, [] {}), PreconditionError);
 }
 
+TEST(Simulator, HandleThatReArmsItselfFiresAtEachArmedTime) {
+  Simulator sim;
+  std::vector<SimTime> fired;
+  Simulator::EventHandle tick;
+  tick = sim.make_event([&] {
+    fired.push_back(sim.now());
+    if (fired.size() < 4) sim.schedule_in(7, tick);
+  });
+  EXPECT_EQ(sim.pending_events(), 0u);  // registering does not arm
+  sim.schedule_at(3, tick);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<SimTime>{3, 10, 17, 24}));
+  EXPECT_EQ(sim.executed_events(), 4u);
+}
+
+TEST(Simulator, HandlesAndOneShotsAtOneTimeFireInScheduleOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  const auto a = sim.make_event([&] { order.push_back(1); });
+  const auto b = sim.make_event([&] { order.push_back(3); });
+  sim.schedule_at(10, a);
+  sim.schedule_at(10, [&] { order.push_back(2); });
+  sim.schedule_in(10, b);
+  sim.schedule_at(10, [&] { order.push_back(4); });
+  sim.schedule_at(10, a);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 1}));
+}
+
+TEST(Simulator, HandleArmedTwiceFiresTwice) {
+  Simulator sim;
+  std::vector<SimTime> fired;
+  const auto h = sim.make_event([&] { fired.push_back(sim.now()); });
+  sim.schedule_at(5, h);
+  sim.schedule_at(5, h);
+  sim.schedule_at(2, h);
+  EXPECT_EQ(sim.pending_events(), 3u);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<SimTime>{2, 5, 5}));
+}
+
+TEST(Simulator, RejectsPastOrUnknownHandles) {
+  Simulator sim;
+  const auto h = sim.make_event([] {});
+  sim.schedule_at(10, h);
+  sim.run();
+  EXPECT_THROW(sim.schedule_at(5, h), PreconditionError);
+  EXPECT_THROW(sim.schedule_in(-1, h), PreconditionError);
+  EXPECT_THROW(sim.schedule_at(20, Simulator::EventHandle{}),
+               PreconditionError);
+  EXPECT_THROW(sim.schedule_at(20, Simulator::EventHandle{h.slot + 1}),
+               PreconditionError);
+  // A one-shot's slot is not a handle, pending or fired.
+  sim.schedule_at(30, [] {});
+  EXPECT_THROW(sim.schedule_at(40, Simulator::EventHandle{h.slot + 1}),
+               PreconditionError);
+  EXPECT_THROW(sim.make_event(nullptr), PreconditionError);
+  EXPECT_EQ(sim.pending_events(), 1u);
+}
+
+TEST(Simulator, HandleActionSurvivesTheSlotTableGrowing) {
+  // The running action schedules far more one-shot events than the table
+  // holds, then reads its own (inline-stored) captures: a table that moved
+  // its actions while growing would have freed them (ASan reports it).
+  struct State {
+    Simulator sim;
+    Simulator::EventHandle handle;
+    int one_shots = 0;
+    int rounds = 0;
+  } st;
+  // One pointer: small enough for std::function's inline buffer, so the
+  // capture lives in the slot itself.
+  st.handle = st.sim.make_event([s = &st] {
+    for (int i = 0; i < 1000; ++i) {
+      s->sim.schedule_in(i % 3, [s] { ++s->one_shots; });
+    }
+    if (++s->rounds < 3) s->sim.schedule_in(5, s->handle);
+  });
+  st.sim.schedule_at(0, st.handle);
+  st.sim.run();
+  EXPECT_EQ(st.rounds, 3);
+  EXPECT_EQ(st.one_shots, 3000);
+  EXPECT_EQ(st.sim.executed_events(), 3003u);
+}
+
 TEST(RateProfile, ConstantRate) {
   RateProfile p(mbps(5));
   EXPECT_DOUBLE_EQ(p.rate_at(0), 5e6);

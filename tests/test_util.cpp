@@ -126,8 +126,11 @@ TEST(RateMeter, RejectsOutOfOrder) {
 TEST(RateMeter, AnswersFromExactlyTheRetainedBins) {
   // Reference: every record summed into its bin; a query counts the bins
   // of its window that the meter still retains, [newest - 2W, newest].
-  // Records step forward, jump idle gaps longer than the retention, and
-  // lag the newest time by up to the whole retention window.
+  // The first record is before time 0.  Records then step forward (mostly
+  // within the newest bin, the meter's one-add path), land on bin edges
+  // (k*bin and k*bin - 1 around the newest bin), jump idle gaps longer
+  // than the retention, and lag the newest time by up to the whole
+  // retention window.
   constexpr SimDuration kBin = 10 * kMillisecond;
   constexpr std::int64_t kWindow = 3;
   RateMeter meter(kBin, kWindow);
@@ -144,12 +147,20 @@ TEST(RateMeter, AnswersFromExactlyTheRetainedBins) {
     }
     return static_cast<double>(bytes) * 8.0 / to_seconds(kWindow * kBin);
   };
+  constexpr SimTime kFirst = -2 * kBin - 3;  // bin -2 (division truncates)
+  meter.record(kFirst, 700);
+  bins[kFirst / kBin] += 700;
+  total += 700;
   Rng rng(7);
   for (int i = 0; i < 4000; ++i) {
     const double u = rng.uniform(0.0, 1.0);
     SimTime at = newest;
     if (u < 0.05) {
       at = newest + rng.uniform_int(1, 12) * kBin;
+    } else if (u < 0.2) {
+      // First or last nanosecond of the newest bin or its neighbours.
+      const std::int64_t edge = newest / kBin + rng.uniform_int(0, 1);
+      at = edge * kBin - rng.uniform_int(0, 1);
     } else if (u < 0.6) {
       at = newest + rng.uniform_int(0, kBin / 2);
     } else {
