@@ -1,22 +1,21 @@
 // Scenario: declarative description of a multi-interface scheduling
-// experiment, and ScenarioRunner: the harness that executes it on the
-// discrete-event simulator under any scheduling policy.
+// experiment, and ScenarioRunner: the device's run of it on the simulator
+// harness (core/harness.hpp) under any scheduling policy.  The runner
+// adds its departure bookkeeping (delay samples, completion) and the
+// ScenarioResult.
 //
 // This is the top of the library for simulation studies: every evaluation
 // figure (Fig 1, 6, 8, 10-ish) is "build a Scenario, run it under a Policy,
 // read the per-flow rate time series / cluster snapshots".
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "fairness/clusters.hpp"
+#include "core/harness.hpp"
 #include "flow/source.hpp"
 #include "sched/scheduler.hpp"
-#include "sim/link.hpp"
 #include "sim/rate_profile.hpp"
 #include "sim/simulator.hpp"
 #include "util/stats.hpp"
@@ -73,12 +72,6 @@ class Scenario {
   std::vector<ScenarioFlowSpec> flows_;
 };
 
-struct ClusterSnapshot {
-  SimTime at = 0;
-  fair::ClusterAnalysis analysis;
-  std::string rendering;  ///< human-readable "{a | if1} @3Mb/s ..." line
-};
-
 struct FlowResult {
   std::string name;
   FlowId id = kInvalidFlow;
@@ -114,14 +107,13 @@ struct ScenarioResult {
   std::vector<InterfaceResult> ifaces;
   std::vector<ClusterSnapshot> clusters;
 
-  const FlowResult& flow_named(const std::string& name) const;
+  const FlowResult& flow_named(const std::string& name) const {
+    return find_named(flows, name);
+  }
 };
 
-struct RunnerOptions {
+struct RunnerOptions : SamplingOptions {
   std::uint32_t quantum_base = 1500;   ///< DRR-family quantum scale (bytes)
-  SimDuration sample_interval = 100 * kMillisecond;
-  std::size_t rate_window_bins = 10;   ///< smoothing: window = bins * interval
-  SimDuration cluster_interval = 0;    ///< 0 = no cluster snapshots
   std::uint64_t seed = 1;
   std::uint64_t queue_capacity_bytes = 0;  ///< per-flow cap; 0 = unbounded
   /// Per-transmission service-time jitter fraction (see
@@ -129,7 +121,7 @@ struct RunnerOptions {
   double link_jitter = 0.0;
 };
 
-class ScenarioRunner {
+class ScenarioRunner final : private SimHarness::Hooks {
  public:
   ScenarioRunner(const Scenario& scenario, Policy policy,
                  RunnerOptions options = {});
@@ -139,37 +131,24 @@ class ScenarioRunner {
   ScenarioResult run(SimTime duration);
 
   /// The scheduler driving the run (white-box inspection in tests).
-  Scheduler& scheduler() { return *scheduler_; }
-  Simulator& simulator() { return sim_; }
+  Scheduler& scheduler() { return harness_.scheduler(); }
+  Simulator& simulator() { return harness_.simulator(); }
 
  private:
-  struct FlowRuntime;
+  /// What the runner keeps of a flow's departures.
+  struct Departures {
+    EmpiricalCdf delay_ns;
+    std::optional<SimTime> completed_at;
+  };
 
   void start_flow(std::size_t index);
-  void enqueue_for(std::size_t index, std::uint32_t size);
-  void refill_source(FlowId flow, std::uint32_t dequeued_bytes);
-  std::size_t index_of(FlowId flow) const;
-  void pump_arrivals(std::size_t index);
-  void on_arrival(std::size_t index);
-  void kick_transmitters(FlowId flow);
-  void on_departure(IfaceId iface, const Packet& packet, SimTime at);
-  void sample_rates();
-  void snapshot_clusters();
-  fair::MaxMinInput current_input() const;
+  void on_departure(std::size_t index, IfaceId iface, const Packet& packet,
+                    SimTime at) override;
 
   const Scenario& scenario_;
   RunnerOptions options_;
-  Simulator sim_;
-  std::unique_ptr<Scheduler> scheduler_;
-  Rng rng_;
-  std::vector<std::unique_ptr<LinkTransmitter>> links_;
-  std::vector<std::unique_ptr<FlowRuntime>> flows_;
-  std::vector<std::size_t> index_by_flow_id_;  // FlowId -> flows_ index
-  std::vector<std::vector<std::uint64_t>> window_bytes_;  // [flow][iface]
-  std::vector<ClusterSnapshot> cluster_log_;
-  Simulator::EventHandle sample_event_;
-  Simulator::EventHandle cluster_event_;
-  SimTime horizon_ = 0;
+  SimHarness harness_;
+  std::vector<Departures> departures_;  // by flow index
   bool armed_ = false;
 };
 

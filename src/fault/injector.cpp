@@ -344,12 +344,13 @@ std::vector<FaultLogEntry> FaultInjector::log() const {
   return log_;
 }
 
-void FaultInjector::export_trace(telemetry::ChromeTraceBuilder& builder,
-                                 std::uint32_t pid) const {
-  builder.set_process_name(pid, "fault injector");
+std::uint32_t FaultInjector::export_trace(
+    telemetry::ChromeTraceBuilder& trace, std::uint32_t pid) const {
+  trace.set_process_name(pid, "fault injector");
   for (const FaultLogEntry& entry : log()) {
-    builder.add_instant(pid, 0, entry.what, entry.at_ns);
+    trace.add_instant(pid, 0, entry.what, entry.at_ns);
   }
+  return pid + 1;
 }
 
 const std::vector<std::pair<SimTime, double>>& FaultInjector::iface_timeline(

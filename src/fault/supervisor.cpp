@@ -380,12 +380,13 @@ std::vector<FaultLogEntry> Supervisor::log() const {
   return log_;
 }
 
-void Supervisor::export_trace(telemetry::ChromeTraceBuilder& builder,
-                              std::uint32_t pid) const {
-  builder.set_process_name(pid, "supervisor");
+std::uint32_t Supervisor::export_trace(telemetry::ChromeTraceBuilder& trace,
+                                       std::uint32_t pid) const {
+  trace.set_process_name(pid, "supervisor");
   for (const FaultLogEntry& entry : log()) {
-    builder.add_instant(pid, 0, entry.what, entry.at_ns);
+    trace.add_instant(pid, 0, entry.what, entry.at_ns);
   }
+  return pid + 1;
 }
 
 }  // namespace midrr::fault

@@ -216,9 +216,10 @@ class Supervisor {
   /// Copy of the verdict/event log (probe-thread written, wall order).
   std::vector<FaultLogEntry> log() const;
 
-  /// Renders the event log as instant events under `pid`.
-  void export_trace(telemetry::ChromeTraceBuilder& builder,
-                    std::uint32_t pid) const;
+  /// Renders the event log as instant events on a process row of its own,
+  /// `pid`, which it names; returns the next pid, pid + 1.
+  std::uint32_t export_trace(telemetry::ChromeTraceBuilder& trace,
+                             std::uint32_t pid) const;
 
  private:
   struct LinkHealth {

@@ -1,8 +1,8 @@
 // Traffic sources: how a flow's packets come into being.
 //
 // Sources are pure generators -- they hold no reference to the simulator.
-// The simulation drivers (core/scenario.hpp's ScenarioRunner, the inbound
-// proxy) drive them through three hooks:
+// The simulator harness (core/harness.hpp), under ScenarioRunner and the
+// inbound proxy, drives them through three hooks:
 //   * on_start()        -> packets to enqueue when the flow begins,
 //   * on_dequeue()      -> the packet, if any, to enqueue right after one is
 //                          sent (this is how "continuously backlogged" flows

@@ -9,20 +9,24 @@
 // Responses arrive out of order across interfaces; the reassembler releases
 // the contiguous prefix to the application, and that release rate is the
 // goodput Fig 10 plots.
+//
+// The proxy runs on the simulator harness (core/harness.hpp), which owns
+// the links, the flow table, the goodput sampler and the cluster
+// snapshots; the proxy adds the range-request text, the reassembler and
+// the prefix goodput.  A flow's chunk k covers bytes [k, k + 1) *
+// chunk_bytes (only the final chunk is short), so its offset is its
+// Packet::seq times chunk_bytes.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "fairness/clusters.hpp"
+#include "core/harness.hpp"
 #include "http/message.hpp"
 #include "http/reassembler.hpp"
 #include "sched/scheduler.hpp"
-#include "sim/link.hpp"
 #include "sim/rate_profile.hpp"
-#include "sim/simulator.hpp"
 #include "util/stats.hpp"
 
 namespace midrr::http {
@@ -39,18 +43,14 @@ struct ProxyFlowSpec {
   std::uint64_t total_bytes = 0;    ///< 0 = endless download
 };
 
-struct ProxyOptions {
+struct ProxyOptions : SamplingOptions {
+  /// Goodput is sampled every 500 ms over a 2 s window.
+  ProxyOptions() : SamplingOptions{500 * kMillisecond, 4, 0} {}
+
   Policy policy = Policy::kMiDrr;
   std::uint32_t chunk_bytes = 65536;  ///< byte-range request granularity
   /// Chunks kept outstanding per flow so pipelining keeps links busy.
   std::size_t pipeline_depth = 4;
-  SimDuration sample_interval = 500 * kMillisecond;
-  std::size_t rate_window_bins = 4;
-  SimDuration cluster_interval = 0;  ///< 0 = no cluster snapshots
-  /// Optional scheduler observer (chunk grants/skips/sends become visible;
-  /// a telemetry::MetricsObserver here turns them into Prometheus
-  /// counters).  Must outlive the proxy; may be null.
-  SchedulerObserver* observer = nullptr;
 };
 
 struct ProxyFlowResult {
@@ -66,22 +66,18 @@ struct ProxyFlowResult {
   }
 };
 
-struct ProxyClusterSnapshot {
-  SimTime at = 0;
-  fair::ClusterAnalysis analysis;
-  std::string rendering;
-};
-
 struct ProxyResult {
   std::vector<ProxyFlowResult> flows;
-  std::vector<ProxyClusterSnapshot> clusters;
+  std::vector<ClusterSnapshot> clusters;
   std::uint64_t requests_sent = 0;
   std::uint64_t request_header_bytes = 0;  ///< uplink overhead of the proxy
 
-  const ProxyFlowResult& flow_named(const std::string& name) const;
+  const ProxyFlowResult& flow_named(const std::string& name) const {
+    return find_named(flows, name);
+  }
 };
 
-class HttpRangeProxy {
+class HttpRangeProxy final : private SimHarness::Hooks {
  public:
   HttpRangeProxy(std::vector<ProxyInterfaceSpec> ifaces,
                  std::vector<ProxyFlowSpec> flows, ProxyOptions options = {});
@@ -89,7 +85,9 @@ class HttpRangeProxy {
 
   ProxyResult run(SimTime duration);
 
-  Scheduler& scheduler() { return *scheduler_; }
+  /// The scheduler choosing chunks; attach a SchedulerObserver here
+  /// (set_observer) to see its grants, skips and sends.
+  Scheduler& scheduler() { return harness_.scheduler(); }
 
   /// Live counters (also in ProxyResult; these are readable mid-run from a
   /// telemetry gauge_fn callback).
@@ -97,27 +95,22 @@ class HttpRangeProxy {
   std::uint64_t request_header_bytes() const { return request_header_bytes_; }
 
  private:
-  struct FlowState;
+  struct Download {
+    std::uint64_t total_bytes = 0;  // 0 = endless
+    std::uint64_t requested_bytes = 0;
+    RangeReassembler reassembler{};
+    std::optional<SimTime> completed_at{};
+  };
 
-  std::size_t index_of(FlowId flow) const;  // kNoIndex if unknown
-  void top_up(std::size_t index, SimTime now);
-  void on_chunk_received(IfaceId iface, const Packet& chunk, SimTime at);
-  void sample();
-  void snapshot_clusters();
+  ByteRange range_of(const Packet& chunk) const;
+  void top_up(std::size_t index);
+  void on_dequeue(std::size_t index, const Packet& chunk) override;
+  void on_departure(std::size_t index, IfaceId iface, const Packet& chunk,
+                    SimTime at) override;
 
-  std::vector<ProxyInterfaceSpec> iface_specs_;
-  std::vector<ProxyFlowSpec> flow_specs_;
   ProxyOptions options_;
-  Simulator sim_;
-  std::unique_ptr<Scheduler> scheduler_;
-  std::vector<std::unique_ptr<LinkTransmitter>> links_;
-  std::vector<std::unique_ptr<FlowState>> flows_;
-  static constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> index_by_flow_id_;  // FlowId -> flows_ index
-  std::vector<std::vector<std::uint64_t>> window_bytes_;  // [flow][iface]
-  std::vector<ProxyClusterSnapshot> cluster_log_;
-  Simulator::EventHandle sample_event_;
-  Simulator::EventHandle cluster_event_;
+  SimHarness harness_;
+  std::vector<Download> downloads_;  // by flow index
   std::uint64_t requests_sent_ = 0;
   std::uint64_t request_header_bytes_ = 0;
 };

@@ -4,185 +4,78 @@
 
 namespace midrr::inbound {
 
-const InboundFlowResult& InboundResult::flow_named(
-    const std::string& name) const {
-  for (const auto& f : flows) {
-    if (f.name == name) return f;
-  }
-  MIDRR_REQUIRE(false, "no inbound flow named " + name);
-  return flows.front();  // unreachable
-}
-
-struct RemoteProxy::FlowState {
-  FlowId id = kInvalidFlow;
-  std::unique_ptr<TrafficSource> source;
-  std::uint64_t next_seq = 0;  ///< per-flow packet sequence at the proxy
-  ReorderBuffer reorder;
-  RateMeter goodput;
-  TimeSeries series;
-  std::vector<std::uint64_t> bytes_per_path;
-  Simulator::EventHandle arrival;  // fires the flow's one pending arrival
-  std::uint32_t arrival_size = 0;  // size of that pending arrival
-
-  FlowState(SimDuration bin, std::size_t window, std::string name,
-            std::size_t path_count)
-      : goodput(bin, window),
-        series(std::move(name)),
-        bytes_per_path(path_count, 0) {}
-};
+// One MTU-sized packet per DRR turn.
+constexpr std::uint32_t kQuantumBytes = 1500;
 
 RemoteProxy::RemoteProxy(std::vector<PathSpec> paths,
-                         std::vector<InboundFlowSpec> flows,
-                         InboundOptions options)
-    : path_specs_(std::move(paths)),
-      flow_specs_(std::move(flows)),
-      options_(options),
-      scheduler_(make_scheduler(options.policy,
-                                SchedulerOptions{.quantum_base =
-                                                     options.quantum_base})),
-      rng_(options.seed) {
-  MIDRR_REQUIRE(!path_specs_.empty(), "remote proxy needs paths");
+                         std::vector<InboundFlowSpec> flows, Policy policy)
+    : harness_(*this, policy, kQuantumBytes, SamplingOptions{}) {
+  MIDRR_REQUIRE(!paths.empty(), "remote proxy needs paths");
 
-  for (const PathSpec& spec : path_specs_) {
+  for (PathSpec& spec : paths) {
     MIDRR_REQUIRE(spec.latency >= 0, "negative path latency");
-    const IfaceId id = scheduler_->add_interface(spec.name);
-    auto provider = [this](IfaceId path, SimTime now) -> std::optional<Packet> {
-      auto p = scheduler_->dequeue(path, now);
-      if (p) {
-        const std::size_t idx = index_of(p->flow);
-        MIDRR_ASSERT(idx < flows_.size(), "dequeue for unknown inbound flow");
-        if (const auto size =
-                flows_[idx]->source->on_dequeue(p->size_bytes, rng_)) {
-          enqueue_for(idx, *size);
-        }
-      }
-      return p;
-    };
-    auto departure = [this](IfaceId path, const Packet& packet, SimTime at) {
-      on_path_departure(path, packet, at);
-    };
-    paths_.push_back(std::make_unique<LinkTransmitter>(
-        sim_, id, spec.profile, std::move(provider), std::move(departure)));
+    const IfaceId id =
+        harness_.add_link(spec.name, std::move(spec.profile)).iface();
+    paths_.push_back(Path{.latency = spec.latency,
+                          .deliver = harness_.simulator().make_event(
+                              [this, id] { deliver(id); })});
   }
 
-  for (const InboundFlowSpec& spec : flow_specs_) {
+  for (const InboundFlowSpec& spec : flows) {
     MIDRR_REQUIRE(spec.make_source != nullptr, "inbound flow needs a source");
-    auto state = std::make_unique<FlowState>(
-        options_.sample_interval, options_.rate_window_bins, spec.name,
-        paths_.size());
-    std::vector<IfaceId> willing;
-    for (const std::string& name : spec.paths) {
-      bool found = false;
-      for (const auto& path : paths_) {
-        if (scheduler_->preferences().iface_name(path->iface()) == name) {
-          willing.push_back(path->iface());
-          found = true;
-          break;
-        }
-      }
-      MIDRR_REQUIRE(found, "inbound flow references unknown path " + name);
-    }
-    state->id = scheduler_->add_flow(FlowSpec{
-        .weight = spec.weight, .willing = std::move(willing), .name = spec.name});
-    state->source = spec.make_source();
-    if (index_by_flow_id_.size() <= state->id) {
-      index_by_flow_id_.resize(static_cast<std::size_t>(state->id) + 1,
-                               kNoIndex);
-    }
-    const std::size_t index = flows_.size();
-    index_by_flow_id_[state->id] = index;
-    state->arrival = sim_.make_event([this, index] { on_arrival(index); });
-    flows_.push_back(std::move(state));
+    const std::size_t index = harness_.add_flow(spec.name);
+    harness_.register_flow(index, spec.weight, spec.paths, 0,
+                           spec.make_source());
+    receivers_.push_back(
+        Receiver{.bytes_per_path = std::vector<std::uint64_t>(paths_.size())});
   }
-  sample_event_ = sim_.make_event([this] { sample(); });
 }
 
 RemoteProxy::~RemoteProxy() = default;
 
-std::size_t RemoteProxy::index_of(FlowId flow) const {
-  return flow < index_by_flow_id_.size() ? index_by_flow_id_[flow] : kNoIndex;
-}
-
-void RemoteProxy::enqueue_for(std::size_t index, std::uint32_t size) {
-  FlowState& flow = *flows_[index];
-  Packet p(flow.id, size, /*seq=*/flow.next_seq++);
-  const EnqueueResult result = scheduler_->enqueue(std::move(p), sim_.now());
-  if (result.became_backlogged) {
-    for (const auto& path : paths_) {
-      if (scheduler_->preferences().willing(flow.id, path->iface())) {
-        path->notify_backlog();
-      }
-    }
-  }
-}
-
-void RemoteProxy::pump_arrivals(std::size_t index) {
-  FlowState& flow = *flows_[index];
-  const auto emission = flow.source->next_arrival(rng_);
-  if (!emission) return;
-  flow.arrival_size = emission->size_bytes;
-  sim_.schedule_in(emission->gap, flow.arrival);
-}
-
-void RemoteProxy::on_arrival(std::size_t index) {
-  enqueue_for(index, flows_[index]->arrival_size);
-  pump_arrivals(index);
-}
-
-void RemoteProxy::on_path_departure(IfaceId path, const Packet& packet,
-                                    SimTime at) {
+void RemoteProxy::on_departure(std::size_t index, IfaceId path,
+                               const Packet& packet, SimTime) {
   // The packet left the proxy's bottleneck; it reaches the device after
-  // the path's one-way latency.
-  const SimDuration latency = path_specs_[path].latency;
-  const std::size_t idx = index_of(packet.flow);
-  MIDRR_ASSERT(idx < flows_.size(), "departure for unknown inbound flow");
-  sim_.schedule_in(latency, [this, idx, path, copy = packet, at, latency] {
-    deliver(idx, path, copy, at + latency);
-  });
+  // the path's one-way latency.  A path has one latency, so its packets
+  // arrive in the order they left.
+  Path& p = paths_[path];
+  p.in_flight.push_back(InFlight{index, packet.seq, packet.size_bytes});
+  harness_.simulator().schedule_in(p.latency, p.deliver);
 }
 
-void RemoteProxy::deliver(std::size_t index, IfaceId path, Packet packet,
-                          SimTime at) {
-  FlowState& flow = *flows_[index];
-  flow.bytes_per_path[path] += packet.size_bytes;
-  const auto delivery = flow.reorder.offer(packet.seq, packet.size_bytes);
+void RemoteProxy::deliver(IfaceId path) {
+  std::deque<InFlight>& in_flight = paths_[path].in_flight;
+  const InFlight packet = in_flight.front();
+  in_flight.pop_front();
+  Receiver& receiver = receivers_[packet.index];
+  receiver.bytes_per_path[path] += packet.bytes;
+  const auto delivery = receiver.reorder.offer(packet.seq, packet.bytes);
   if (delivery.delivered_bytes > 0) {
-    flow.goodput.record(at, delivery.delivered_bytes);
+    harness_.record(packet.index, harness_.simulator().now(),
+                    delivery.delivered_bytes);
   }
-}
-
-void RemoteProxy::sample() {
-  for (auto& flow : flows_) {
-    flow->series.add(sim_.now(),
-                     to_mbps(flow->goodput.rate_bps(sim_.now())));
-  }
-  sim_.schedule_in(options_.sample_interval, sample_event_);
 }
 
 InboundResult RemoteProxy::run(SimTime duration) {
-  for (std::size_t idx = 0; idx < flows_.size(); ++idx) {
-    for (const std::uint32_t size : flows_[idx]->source->on_start(rng_)) {
-      enqueue_for(idx, size);
-    }
-    pump_arrivals(idx);
+  for (std::size_t idx = 0; idx < harness_.flow_count(); ++idx) {
+    harness_.start_source(idx);
   }
-  for (const auto& path : paths_) path->notify_backlog();
+  for (const auto& path : harness_.links()) path->notify_backlog();
+  harness_.arm_samplers();
 
-  // Each sampler tick reschedules the next one.
-  sim_.schedule_in(options_.sample_interval, sample_event_);
-
-  sim_.run_until(duration);
+  harness_.simulator().run_until(duration);
 
   InboundResult result;
-  for (std::size_t idx = 0; idx < flows_.size(); ++idx) {
-    const FlowState& flow = *flows_[idx];
+  for (std::size_t idx = 0; idx < harness_.flow_count(); ++idx) {
+    const SimHarness::Flow& flow = harness_.flow(idx);
+    const Receiver& receiver = receivers_[idx];
     InboundFlowResult fr;
-    fr.name = flow_specs_[idx].name;
+    fr.name = flow.name();
     fr.goodput_mbps = flow.series;
-    fr.delivered_bytes = flow.reorder.delivered_bytes();
-    fr.max_reorder_buffer_bytes = flow.reorder.max_buffered_bytes();
-    fr.out_of_order_arrivals = flow.reorder.out_of_order_arrivals();
-    fr.bytes_per_path = flow.bytes_per_path;
+    fr.delivered_bytes = receiver.reorder.delivered_bytes();
+    fr.max_reorder_buffer_bytes = receiver.reorder.max_buffered_bytes();
+    fr.out_of_order_arrivals = receiver.reorder.out_of_order_arrivals();
+    fr.bytes_per_path = receiver.bytes_per_path;
     result.flows.push_back(std::move(fr));
   }
   return result;

@@ -9,19 +9,21 @@
 // in-order release rate is the goodput.  Latency skew across paths is what
 // makes this interesting: aggregation buys bandwidth at the cost of
 // reorder-buffer memory, which the result reports.
+//
+// The proxy runs on the simulator harness (core/harness.hpp), which owns
+// the links, the flow table, the source pump and the goodput sampler; the
+// proxy adds each path's latency and the device's reorder buffers.
 #pragma once
 
-#include <memory>
-#include <optional>
+#include <deque>
 #include <string>
 #include <vector>
 
+#include "core/harness.hpp"
 #include "flow/source.hpp"
 #include "inbound/reorder.hpp"
 #include "sched/scheduler.hpp"
-#include "sim/link.hpp"
 #include "sim/rate_profile.hpp"
-#include "sim/simulator.hpp"
 #include "util/stats.hpp"
 
 namespace midrr::inbound {
@@ -54,50 +56,47 @@ struct InboundFlowResult {
 
 struct InboundResult {
   std::vector<InboundFlowResult> flows;
-  const InboundFlowResult& flow_named(const std::string& name) const;
+  const InboundFlowResult& flow_named(const std::string& name) const {
+    return find_named(flows, name);
+  }
 };
 
-struct InboundOptions {
-  Policy policy = Policy::kMiDrr;
-  std::uint32_t quantum_base = 1500;
-  SimDuration sample_interval = 100 * kMillisecond;
-  std::size_t rate_window_bins = 10;
-  std::uint64_t seed = 1;
-};
-
-class RemoteProxy {
+class RemoteProxy final : private SimHarness::Hooks {
  public:
   RemoteProxy(std::vector<PathSpec> paths,
               std::vector<InboundFlowSpec> flows,
-              InboundOptions options = {});
+              Policy policy = Policy::kMiDrr);
   ~RemoteProxy();
 
   InboundResult run(SimTime duration);
 
-  Scheduler& scheduler() { return *scheduler_; }
+  Scheduler& scheduler() { return harness_.scheduler(); }
 
  private:
-  struct FlowState;
+  /// A packet on its way from the proxy to the device.
+  struct InFlight {
+    std::size_t index;  ///< flow index
+    std::uint64_t seq;
+    std::uint32_t bytes;
+  };
+  struct Path {
+    SimDuration latency = 0;
+    std::deque<InFlight> in_flight{};  ///< departure (= arrival) order
+    Simulator::EventHandle deliver{};  ///< delivers the oldest in flight
+  };
+  /// The device's side of one flow.
+  struct Receiver {
+    ReorderBuffer reorder{};
+    std::vector<std::uint64_t> bytes_per_path{};
+  };
 
-  std::size_t index_of(FlowId flow) const;  // kNoIndex if unknown
-  void enqueue_for(std::size_t index, std::uint32_t size);
-  void pump_arrivals(std::size_t index);
-  void on_arrival(std::size_t index);
-  void on_path_departure(IfaceId path, const Packet& packet, SimTime at);
-  void deliver(std::size_t index, IfaceId path, Packet packet, SimTime at);
-  void sample();
+  void on_departure(std::size_t index, IfaceId path, const Packet& packet,
+                    SimTime at) override;
+  void deliver(IfaceId path);
 
-  std::vector<PathSpec> path_specs_;
-  std::vector<InboundFlowSpec> flow_specs_;
-  InboundOptions options_;
-  Simulator sim_;
-  std::unique_ptr<Scheduler> scheduler_;
-  Rng rng_;
-  std::vector<std::unique_ptr<LinkTransmitter>> paths_;
-  std::vector<std::unique_ptr<FlowState>> flows_;
-  static constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> index_by_flow_id_;  // FlowId -> flows_ index
-  Simulator::EventHandle sample_event_;
+  SimHarness harness_;
+  std::vector<Path> paths_;
+  std::vector<Receiver> receivers_;  // by flow index
 };
 
 }  // namespace midrr::inbound

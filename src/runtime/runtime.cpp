@@ -1606,25 +1606,29 @@ telemetry::FairnessSample Runtime::fairness_sample() {
   return out;
 }
 
-void Runtime::export_trace(telemetry::ChromeTraceBuilder& builder) const {
+std::uint32_t Runtime::export_trace(telemetry::ChromeTraceBuilder& trace,
+                                    std::uint32_t first_pid) const {
   MIDRR_REQUIRE(!running(),
                 "export_trace requires a stopped runtime (recorders and "
                 "span buffers are written by worker threads while running)");
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = *shards_[s];
-    if (shard.recorder == nullptr) continue;
-    const std::uint32_t pid = static_cast<std::uint32_t>(2 + s);
-    builder.set_process_name(pid, "shard " + std::to_string(s) + " scheduler");
-    builder.add_recorder(*shard.recorder, pid);
-  }
+  std::uint32_t pid = first_pid;
   std::vector<telemetry::TraceSpan> spans;
   for (const auto& worker : workers_) {
     spans.insert(spans.end(), worker->spans.begin(), worker->spans.end());
   }
   if (!spans.empty()) {
-    builder.set_process_name(1, "runtime workers");
-    builder.add_spans(spans, 1);
+    trace.set_process_name(pid, "runtime workers");
+    trace.add_spans(spans, pid);
+    ++pid;
   }
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const Shard& shard = *shards_[s];
+    if (shard.recorder == nullptr) continue;
+    trace.set_process_name(pid, "shard " + std::to_string(s) + " scheduler");
+    trace.add_recorder(*shard.recorder, pid);
+    ++pid;
+  }
+  return pid;
 }
 
 const TraceRecorder* Runtime::shard_recorder(std::size_t shard) const {

@@ -447,11 +447,15 @@ class Runtime final : public telemetry::FairnessSource,
   /// telemetry::FairnessDriftSampler.
   telemetry::FairnessSample fairness_sample() override;
 
-  /// Renders captured scheduler event streams (one process row per shard)
-  /// and worker spans (one thread row per worker) into `builder`.  Only
+  /// Renders the worker spans (one thread row per worker) and each shard's
+  /// captured scheduler events into `trace`, one process row per source
+  /// from `first_pid` on: the workers' row, if any spans were captured,
+  /// then one per shard with a recorder.  Each row is named once.  Returns
+  /// the first pid left unused, where the next exporter starts.  Only
   /// valid after stop() -- recorders and span buffers are written by worker
-  /// threads while running.  No-op unless trace capture was enabled.
-  void export_trace(telemetry::ChromeTraceBuilder& builder) const;
+  /// threads while running.  Uses no pid unless trace capture was enabled.
+  std::uint32_t export_trace(telemetry::ChromeTraceBuilder& trace,
+                             std::uint32_t first_pid) const;
 
   /// The per-shard scheduler event recorder (nullptr unless
   /// options.trace_events > 0).  Read only after stop().

@@ -229,8 +229,8 @@ std::unique_ptr<Scheduler> make_scheduler(Policy policy,
     case Policy::kOracle:
       MIDRR_REQUIRE(false,
                     "the oracle needs a capacity provider; construct "
-                    "OracleMaxMinScheduler directly (ScenarioRunner wires "
-                    "this up automatically)");
+                    "OracleMaxMinScheduler directly (the simulator harness "
+                    "wires this up automatically)");
   }
   MIDRR_REQUIRE(sched != nullptr, "unknown policy");
   if (options.observer != nullptr) sched->set_observer(options.observer);

@@ -2,7 +2,7 @@
 // registered flow, and per flow once it has carried one packet, for the two
 // policies the runtime runs at scale (kMiDrr, kHierMiDrr), with 100k flows
 // on 4 interfaces; and the heap allocations a simulated departure costs
-// on the ScenarioRunner path.  The global operator new / delete are
+// on the ScenarioRunner path and a delivery on the inbound proxy's.  The global operator new / delete are
 // replaced in this executable only (each test file links into its own
 // binary), so every heap byte and allocation is counted exactly,
 // independent of the allocator's own rounding and caching.
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "inbound/remote_proxy.hpp"
 #include "sched/scheduler.hpp"
 #include "sim_shape.hpp"
 #include "util/indexed_name.hpp"
@@ -211,6 +212,41 @@ TEST(SimFootprint, ACbrArrivalAllocatesAlmostNothing) {
   EXPECT_LE(static_cast<double>(allocations) / static_cast<double>(departures),
             0.02)
       << allocations << " allocations over " << departures << " departures";
+}
+
+// The inbound proxy: 4 backlogged 1500 B flows (weights 1, 2, 1, 2; two
+// willing on both paths, one on each path alone) over a 10 Mb/s path with
+// 5 ms latency and a 5 Mb/s path with 30 ms, for 10 simulated seconds,
+// counted over the whole run() that returns the result.  A departure
+// waits for its delivery in its path's FIFO behind one simulator handle,
+// so what remains is the reorder buffers' map nodes for out-of-order
+// arrivals, the FIFOs' blocks and the result copies.  Budget 0.2 per
+// delivered packet; about one was made when every delivery boxed a copy
+// of its packet in a fresh std::function.
+TEST(SimFootprint, AnInboundDeliveryAllocatesAlmostNothing) {
+  const SourceFactory backlogged = [] {
+    return std::make_unique<BackloggedSource>(SizeDistribution::fixed(1500));
+  };
+  inbound::RemoteProxy proxy(
+      {{"wifi", RateProfile(mbps(10)), 5 * kMillisecond},
+       {"lte", RateProfile(mbps(5)), 30 * kMillisecond}},
+      {{"a", 1.0, {"wifi", "lte"}, backlogged},
+       {"b", 2.0, {"wifi", "lte"}, backlogged},
+       {"c", 1.0, {"wifi"}, backlogged},
+       {"d", 2.0, {"lte"}, backlogged}});
+
+  const long long allocs0 = g_allocations.load();
+  const inbound::InboundResult result = proxy.run(10 * kSecond);
+  const long long allocations = g_allocations.load() - allocs0;
+
+  std::uint64_t delivered = 0;
+  for (const auto& flow : result.flows) delivered += flow.delivered_bytes / 1500;
+  ASSERT_GT(delivered, 12'000u);
+  RecordProperty("inbound_allocations", static_cast<int>(allocations));
+  RecordProperty("inbound_deliveries", static_cast<int>(delivered));
+  EXPECT_LE(static_cast<double>(allocations) / static_cast<double>(delivered),
+            0.2)
+      << allocations << " allocations over " << delivered << " deliveries";
 }
 
 }  // namespace

@@ -9,6 +9,14 @@
 // allocation-free operation; a change to the simulator's scaffolding must
 // leave every scheduling decision, and so every digest, as it was.
 //
+// The two proxies are pinned the same way: every field of an InboundResult
+// (goodput series, delivered bytes, reorder-buffer peak, out-of-order
+// arrivals, bytes per path) and of a ProxyResult (goodput series, delivered
+// and received bytes, chunks per interface, completion time, cluster
+// snapshots, requests and their header bytes), each under miDRR and naive
+// DRR.  Their constants were recorded while each proxy still carried its
+// own copy of the simulator scaffolding.
+//
 // Doubles are hashed by bit pattern, so the digests assume IEEE-754
 // arithmetic without contraction and libstdc++'s random distributions
 // (phone.scn's bimodal packet sizes are drawn through them).
@@ -18,12 +26,17 @@
 #include <cstring>
 #include <fstream>
 #include <ios>
+#include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "core/scenario.hpp"
 #include "core/scenario_text.hpp"
+#include "http/proxy.hpp"
+#include "inbound/remote_proxy.hpp"
 #include "sim_shape.hpp"
 
 namespace midrr {
@@ -53,6 +66,34 @@ class Fnv1a {
     value(values.size());
     for (const T v : values) value(v);
   }
+  void series(const TimeSeries& s) {
+    text(s.name());
+    value(s.points().size());
+    for (const auto& [t, v] : s.points()) {
+      value(t);
+      value(v);
+    }
+  }
+  void completion(const std::optional<SimTime>& at) {
+    value(at.has_value());
+    value(at.value_or(0));
+  }
+  template <typename Snapshots>
+  void clusters(const Snapshots& snapshots) {
+    value(snapshots.size());
+    for (const auto& c : snapshots) {
+      value(c.at);
+      text(c.rendering);
+      value(c.analysis.clusters.size());
+      for (const fair::Cluster& k : c.analysis.clusters) {
+        list(k.flows);
+        list(k.ifaces);
+        value(k.normalized_rate);
+      }
+      list(c.analysis.flow_cluster);
+      list(c.analysis.iface_cluster);
+    }
+  }
   std::uint64_t digest() const { return state_; }
 
  private:
@@ -68,16 +109,10 @@ std::uint64_t fingerprint(const ScenarioResult& r) {
     h.text(f.name);
     h.value(f.id);
     h.value(f.weight);
-    h.text(f.rate_mbps.name());
-    h.value(f.rate_mbps.points().size());
-    for (const auto& [t, v] : f.rate_mbps.points()) {
-      h.value(t);
-      h.value(v);
-    }
+    h.series(f.rate_mbps);
     h.value(f.bytes_sent);
     h.list(f.bytes_per_iface);
-    h.value(f.completed_at.has_value());
-    h.value(f.completed_at.value_or(0));
+    h.completion(f.completed_at);
     h.value(f.delay_ns.size());
     const auto curve = f.delay_ns.curve();
     h.value(curve.size());
@@ -95,19 +130,38 @@ std::uint64_t fingerprint(const ScenarioResult& r) {
     h.value(i.bytes_sent);
     h.value(i.busy_time);
   }
-  h.value(r.clusters.size());
-  for (const ClusterSnapshot& c : r.clusters) {
-    h.value(c.at);
-    h.text(c.rendering);
-    h.value(c.analysis.clusters.size());
-    for (const fair::Cluster& k : c.analysis.clusters) {
-      h.list(k.flows);
-      h.list(k.ifaces);
-      h.value(k.normalized_rate);
-    }
-    h.list(c.analysis.flow_cluster);
-    h.list(c.analysis.iface_cluster);
+  h.clusters(r.clusters);
+  return h.digest();
+}
+
+std::uint64_t fingerprint(const inbound::InboundResult& r) {
+  Fnv1a h;
+  h.value(r.flows.size());
+  for (const inbound::InboundFlowResult& f : r.flows) {
+    h.text(f.name);
+    h.series(f.goodput_mbps);
+    h.value(f.delivered_bytes);
+    h.value(f.max_reorder_buffer_bytes);
+    h.value(f.out_of_order_arrivals);
+    h.list(f.bytes_per_path);
   }
+  return h.digest();
+}
+
+std::uint64_t fingerprint(const http::ProxyResult& r) {
+  Fnv1a h;
+  h.value(r.flows.size());
+  for (const http::ProxyFlowResult& f : r.flows) {
+    h.text(f.name);
+    h.series(f.goodput_mbps);
+    h.value(f.delivered_bytes);
+    h.value(f.received_bytes);
+    h.list(f.chunks_per_iface);
+    h.completion(f.completed_at);
+  }
+  h.clusters(r.clusters);
+  h.value(r.requests_sent);
+  h.value(r.request_header_bytes);
   return h.digest();
 }
 
@@ -169,6 +223,76 @@ TEST(RunFingerprint, SimShapedRunUnderMiDrr) {
   ScenarioRunner runner(scenario, Policy::kMiDrr);
   const std::uint64_t digest = fingerprint(runner.run(1250 * kMillisecond));
   EXPECT_EQ(digest, 0xc361899ebbc24a59ull) << "digest 0x" << std::hex << digest;
+}
+
+// Two paths whose latencies differ by 25 ms, so a flow spread over both
+// arrives out of order; the slower path goes down for a second and comes
+// back at a lower rate.  Backlogged (one of them finite), CBR and Poisson
+// sources.
+std::uint64_t inbound_digest(Policy policy) {
+  const auto backlogged = [](std::uint64_t volume) -> SourceFactory {
+    return [volume] {
+      return std::make_unique<BackloggedSource>(SizeDistribution::fixed(1500),
+                                                volume);
+    };
+  };
+  inbound::RemoteProxy proxy(
+      {{"wifi", RateProfile(mbps(10)), 5 * kMillisecond},
+       {"lte",
+        RateProfile::steps({{0, mbps(5)},
+                            {3 * kSecond, 0.0},
+                            {4 * kSecond, mbps(2)},
+                            {7 * kSecond, mbps(5)}}),
+        30 * kMillisecond}},
+      {{"bulk", 1.0, {"wifi", "lte"}, backlogged(0)},
+       {"video", 2.0, {"wifi", "lte"}, backlogged(4'000'000)},
+       {"voip", 1.0, {"wifi"},
+        [] { return std::make_unique<CbrSource>(mbps(0.2), 200); }},
+       {"web", 1.0, {"lte"},
+        [] {
+          return std::make_unique<PoissonSource>(
+              mbps(1), SizeDistribution::uniform(200, 1500));
+        }}},
+      policy);
+  return fingerprint(proxy.run(10 * kSecond));
+}
+
+// A square-wave interface beside a constant one, a download on each alone
+// and one on both, and a finite download of a size that is not a multiple
+// of the chunk, with cluster snapshots every 2 s.
+std::uint64_t http_digest(Policy policy) {
+  http::ProxyOptions options;
+  options.policy = policy;
+  options.cluster_interval = 2 * kSecond;
+  http::HttpRangeProxy proxy(
+      {{"if1", RateProfile::square_wave(mbps(8), mbps(2), 10 * kSecond,
+                                        30 * kSecond)},
+       {"if2", RateProfile(mbps(4))}},
+      {{"a", 1.0, {"if1"}, 0},
+       {"b", 1.0, {"if1", "if2"}, 0},
+       {"c", 2.0, {"if2"}, 5'012'345}},
+      options);
+  return fingerprint(proxy.run(20 * kSecond));
+}
+
+TEST(RunFingerprint, InboundProxyUnderMiDrr) {
+  const std::uint64_t digest = inbound_digest(Policy::kMiDrr);
+  EXPECT_EQ(digest, 0x54e9d4f187c5f344ull) << "digest 0x" << std::hex << digest;
+}
+
+TEST(RunFingerprint, InboundProxyUnderNaiveDrr) {
+  const std::uint64_t digest = inbound_digest(Policy::kNaiveDrr);
+  EXPECT_EQ(digest, 0x9ce0836a82bc4a3aull) << "digest 0x" << std::hex << digest;
+}
+
+TEST(RunFingerprint, HttpProxyUnderMiDrr) {
+  const std::uint64_t digest = http_digest(Policy::kMiDrr);
+  EXPECT_EQ(digest, 0xd097f7a28342539aull) << "digest 0x" << std::hex << digest;
+}
+
+TEST(RunFingerprint, HttpProxyUnderNaiveDrr) {
+  const std::uint64_t digest = http_digest(Policy::kNaiveDrr);
+  EXPECT_EQ(digest, 0x72ecb43a7258f63full) << "digest 0x" << std::hex << digest;
 }
 
 }  // namespace

@@ -13,12 +13,16 @@
 #include <cstring>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "fairness/maxmin.hpp"
+#include "fault/fault_plan.hpp"
+#include "fault/injector.hpp"
+#include "fault/supervisor.hpp"
 #include "runtime/load_generator.hpp"
 #include "runtime/rcu.hpp"
 #include "runtime/runtime.hpp"
@@ -666,13 +670,77 @@ TEST(RuntimeTelemetry, RegistersRuntimeSeriesAndCapturesTrace) {
     EXPECT_NE(text.find(name), std::string::npos) << name;
   }
 
-  ChromeTraceBuilder builder;
-  runtime.export_trace(builder);
-  EXPECT_GT(builder.event_count(), 0u);
+  ChromeTraceBuilder trace;
+  runtime.export_trace(trace, 1);
+  EXPECT_GT(trace.event_count(), 0u);
   ASSERT_NE(runtime.shard_recorder(0), nullptr);
   EXPECT_GT(runtime.shard_recorder(0)->total_events() +
                 runtime.shard_recorder(1)->total_events(),
             0u);
+}
+
+// One trace, every source: the worker spans, two shard schedulers, the
+// fault injector and the supervisor.  Each exporter names the rows it
+// fills and hands on the next free pid, so every pid carries exactly one
+// process_name and the events of one source only.
+TEST(RuntimeTelemetry, EveryTraceSourceGetsItsOwnProcessRow) {
+  fault::FaultInjector injector(fault::FaultPlan::parse_json(R"({"events": [
+      {"at_ms": 0, "kind": "iface_scale", "iface": 1, "scale": 0.5,
+       "duration_ms": 60000}]})"));
+  MetricsRegistry reg;  // the shard recorders chain behind its observers
+  rt::RuntimeOptions options;
+  options.workers = 2;
+  options.shards = 2;
+  options.metrics = &reg;
+  options.trace_events = 1024;
+  options.trace_spans = 1024;
+  options.fault = &injector;
+  rt::Runtime runtime(options);
+  runtime.add_interface("if0", RateProfile(100e6));
+  runtime.add_interface("if1", RateProfile(100e6));
+  for (int i = 0; i < 4; ++i) {
+    rt::RtFlowSpec spec;
+    spec.name = "g" + std::to_string(i);
+    spec.willing = {0, 1};
+    runtime.control().add_flow(spec);
+  }
+  runtime.start();
+  fault::Supervisor supervisor(runtime, fault::SupervisorOptions{});
+  rt::LoadGenerator generator(runtime, {});
+  generator.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  generator.stop();
+  runtime.stop();
+  ASSERT_GT(injector.iface_transitions(), 0u) << "the injector logs nothing";
+
+  ChromeTraceBuilder trace;
+  std::uint32_t pid = runtime.export_trace(trace, 1);
+  EXPECT_EQ(pid, 4u) << "the workers' row and one row per shard";
+  pid = injector.export_trace(trace, pid);
+  EXPECT_EQ(supervisor.export_trace(trace, pid), 6u);
+
+  std::map<std::uint32_t, std::vector<std::string>> names;
+  std::map<std::uint32_t, std::set<std::string>> categories;
+  const JsonValue doc = JsonValue::parse(trace.json());
+  for (const JsonValue& event : doc.find("traceEvents")->as_array()) {
+    const auto at = static_cast<std::uint32_t>(event.find("pid")->as_number());
+    if (event.find("name")->as_string() == "process_name") {
+      names[at].push_back(event.find("args")->find("name")->as_string());
+    } else if (const JsonValue* category = event.find("cat")) {
+      categories[at].insert(category->as_string());
+    }
+  }
+  const std::map<std::uint32_t, std::vector<std::string>> expected = {
+      {1, {"runtime workers"}},   {2, {"shard 0 scheduler"}},
+      {3, {"shard 1 scheduler"}}, {4, {"fault injector"}},
+      {5, {"supervisor"}}};
+  EXPECT_EQ(names, expected);
+  using Categories = std::set<std::string>;
+  EXPECT_EQ(categories[1], Categories{"runtime"});
+  EXPECT_EQ(categories[2], Categories{"sched"});
+  EXPECT_EQ(categories[3], Categories{"sched"});
+  EXPECT_EQ(categories[4], Categories{"fault"});
+  EXPECT_TRUE(categories[5].empty() || categories[5] == Categories{"fault"});
 }
 
 /// Sum of the values of every sample line whose name is exactly `name`.

@@ -765,24 +765,19 @@ int main(int argc, char** argv) {
       }
     }
     if (!trace_out.empty()) {
-      telemetry::ChromeTraceBuilder builder;
-      builder.set_process_name(1, "midrr_rt");
-      runtime.export_trace(builder);
-      if (injector != nullptr) {
-        builder.set_process_name(2, "fault injector");
-        injector->export_trace(builder, 2);
-      }
-      if (supervisor != nullptr) {
-        builder.set_process_name(3, "supervisor");
-        supervisor->export_trace(builder, 3);
-      }
+      // Each exporter names the process rows it fills and hands on the
+      // next free pid, so no row mixes two sources.
+      telemetry::ChromeTraceBuilder chrome_trace;
+      std::uint32_t pid = runtime.export_trace(chrome_trace, 1);
+      if (injector != nullptr) pid = injector->export_trace(chrome_trace, pid);
+      if (supervisor != nullptr) supervisor->export_trace(chrome_trace, pid);
       std::ofstream trace_file(trace_out);
       if (!trace_file) {
         std::cerr << "error: cannot write " << trace_out << "\n";
         return 1;
       }
-      trace_file << builder.json();
-      std::cerr << "trace: " << builder.event_count() << " events -> "
+      trace_file << chrome_trace.json();
+      std::cerr << "trace: " << chrome_trace.event_count() << " events -> "
                 << trace_out << "\n";
     }
     const double elapsed =
