@@ -136,14 +136,20 @@ void SimHarness::depart(IfaceId iface, const Packet& packet, SimTime at) {
   hooks_.on_departure(index, iface, packet, at);
 }
 
-void SimHarness::arm_samplers() {
-  // Each tick reschedules the next one unconditionally; run_until() simply
-  // leaves future ticks pending.
-  sim_.schedule_in(sampling_.sample_interval, sample_event_);
-  if (sampling_.cluster_interval > 0) {
-    window_bytes_.assign(flows_.size() * links_.size(), 0);
-    sim_.schedule_in(sampling_.cluster_interval, cluster_event_);
+void SimHarness::run_until(SimTime until) {
+  MIDRR_REQUIRE(until >= sim_.now(), "run() horizon is in the past");
+  if (!started_) {
+    started_ = true;
+    hooks_.on_start();
+    // Each tick reschedules the next one unconditionally; a later call
+    // finds the next ticks pending.
+    sim_.schedule_in(sampling_.sample_interval, sample_event_);
+    if (sampling_.cluster_interval > 0) {
+      window_bytes_.assign(flows_.size() * links_.size(), 0);
+      sim_.schedule_in(sampling_.cluster_interval, cluster_event_);
+    }
   }
+  sim_.run_until(until);
 }
 
 void SimHarness::sample_rates() {

@@ -14,10 +14,10 @@
 //   * a RateMeter per flow, sampled into its TimeSeries on one handle;
 //   * cluster snapshots: each window's bytes per (flow, interface) set
 //     against the max-min clusters of that moment.
-// What is the setting's own reaches the harness through its Hooks: the
-// bookkeeping of every departure (the setting decides what its meter
-// records, and when), and the refill after a dequeue for a flow without a
-// traffic source.
+// What is the setting's own reaches the harness through its Hooks: its
+// start work, the bookkeeping of every departure (the setting decides what
+// its meter records, and when), and the refill after a dequeue for a flow
+// without a traffic source.
 #pragma once
 
 #include <cstddef>
@@ -66,6 +66,9 @@ class SimHarness {
   /// The part of a run that is the setting's own.
   class Hooks {
    public:
+    /// The setting's start work (first packets, flow start events); runs
+    /// once, at the first run_until.
+    virtual void on_start() = 0;
     /// A link finished sending `packet` of flow `index` at `at` (now).
     virtual void on_departure(std::size_t index, IfaceId iface,
                               const Packet& packet, SimTime at) = 0;
@@ -135,9 +138,12 @@ class SimHarness {
     flows_[index].meter.record(at, bytes);
   }
 
-  /// Arms the rate sampler and, with a cluster interval, the cluster
-  /// snapshots, in that order; call once every flow is added.
-  void arm_samplers();
+  /// Runs the simulation to `until`.  The first call first runs the hooks'
+  /// on_start, then arms the rate sampler and, with a cluster interval, the
+  /// cluster snapshots, in that order; later calls only extend the horizon,
+  /// so a run in steps equals one run to the last step.  Call once every
+  /// flow is added.
+  void run_until(SimTime until);
   const std::vector<ClusterSnapshot>& clusters() const { return clusters_; }
 
  private:
@@ -167,6 +173,7 @@ class SimHarness {
   std::vector<ClusterSnapshot> clusters_;
   Simulator::EventHandle sample_event_;
   Simulator::EventHandle cluster_event_;
+  bool started_ = false;  ///< on_start ran and the samplers are armed
 };
 
 }  // namespace midrr

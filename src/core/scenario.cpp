@@ -90,29 +90,22 @@ void ScenarioRunner::on_departure(std::size_t index, IfaceId,
   }
 }
 
-ScenarioResult ScenarioRunner::run(SimTime until) {
-  // run() is incremental: the first call arms flow starts and the periodic
-  // samplers; later calls simply extend the horizon (tests use this to
-  // snapshot state mid-run).
-  Simulator& sim = harness_.simulator();
-  MIDRR_REQUIRE(until >= sim.now(), "run() horizon is in the past");
-
-  if (!armed_) {
-    armed_ = true;
-    for (std::size_t idx = 0; idx < scenario_.flows().size(); ++idx) {
-      sim.schedule_at(scenario_.flows()[idx].start,
-                      [this, idx] { start_flow(idx); });
-    }
-    harness_.arm_samplers();
+void ScenarioRunner::on_start() {
+  for (std::size_t idx = 0; idx < scenario_.flows().size(); ++idx) {
+    harness_.simulator().schedule_at(scenario_.flows()[idx].start,
+                                     [this, idx] { start_flow(idx); });
   }
+}
 
-  sim.run_until(until);
+ScenarioResult ScenarioRunner::run(SimTime until) {
+  // run() is incremental (tests use this to snapshot state mid-run).
+  harness_.run_until(until);
 
   const Scheduler& sched = harness_.scheduler();
   const auto& links = harness_.links();
   ScenarioResult result;
   result.policy = sched.policy_name();
-  result.duration = sim.now();
+  result.duration = harness_.simulator().now();
   result.flows.reserve(harness_.flow_count());
   for (std::size_t idx = 0; idx < harness_.flow_count(); ++idx) {
     const SimHarness::Flow& flow = harness_.flow(idx);

@@ -142,6 +142,7 @@ class ScenarioRunner final : private SimHarness::Hooks {
   };
 
   void start_flow(std::size_t index);
+  void on_start() override;
   void on_departure(std::size_t index, IfaceId iface, const Packet& packet,
                     SimTime at) override;
 
@@ -149,7 +150,6 @@ class ScenarioRunner final : private SimHarness::Hooks {
   RunnerOptions options_;
   SimHarness harness_;
   std::vector<Departures> departures_;  // by flow index
-  bool armed_ = false;
 };
 
 }  // namespace midrr

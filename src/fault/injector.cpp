@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
-#include "telemetry/chrome_trace.hpp"
+#include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace midrr::fault {
@@ -205,18 +204,10 @@ double FaultInjector::iface_scale_at(IfaceId iface, SimTime now) const {
   return std::prev(it)->second;
 }
 
-void FaultInjector::note_iface_transition(IfaceId iface, SimTime now,
-                                          double scale) {
-  iface_transitions_.fetch_add(1, std::memory_order_relaxed);
-  std::ostringstream what;
-  what << "iface " << iface << " scale -> " << scale;
-  append_log(now, what.str());
-}
-
 FaultInjector::StallOutcome FaultInjector::maybe_stall(
     std::uint32_t worker, SimTime now,
-    const std::atomic<std::uint64_t>& generation,
-    std::uint64_t my_generation) {
+    const std::atomic<std::uint64_t>& generation, std::uint64_t my_generation,
+    telemetry::FlightLog* lane) {
   WorkerStalls& ws = worker_stalls_[worker];
   // Cursor is owned by the worker slot's current thread: advance past
   // expired windows without locking.
@@ -228,8 +219,12 @@ FaultInjector::StallOutcome FaultInjector::maybe_stall(
   if (now < w.begin) return StallOutcome::kNotStalled;
 
   stalls_entered_.fetch_add(1, std::memory_order_relaxed);
-  append_log(now, "worker " + std::to_string(worker) + " stalled for " +
-                      std::to_string((w.end - now) / 1000000) + " ms");
+  if (lane != nullptr) {
+    lane->log(static_cast<std::uint64_t>(now),
+              telemetry::FlightCategory::kFault,
+              telemetry::FlightCode::kWorkerStall, worker,
+              static_cast<std::uint64_t>(w.end - now));
+  }
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::nanoseconds(w.end - now);
   std::unique_lock<std::mutex> lk(stall_mu_);
@@ -332,25 +327,6 @@ void FaultInjector::register_metrics(telemetry::MetricsRegistry& registry) {
       "midrr_fault_iface_transitions_total",
       "Interface capacity transitions applied by workers", {},
       [this] { return static_cast<double>(iface_transitions()); });
-}
-
-void FaultInjector::append_log(SimTime at, std::string what) {
-  std::lock_guard<std::mutex> lk(log_mu_);
-  log_.push_back(FaultLogEntry{at, std::move(what)});
-}
-
-std::vector<FaultLogEntry> FaultInjector::log() const {
-  std::lock_guard<std::mutex> lk(log_mu_);
-  return log_;
-}
-
-std::uint32_t FaultInjector::export_trace(
-    telemetry::ChromeTraceBuilder& trace, std::uint32_t pid) const {
-  trace.set_process_name(pid, "fault injector");
-  for (const FaultLogEntry& entry : log()) {
-    trace.add_instant(pid, 0, entry.what, entry.at_ns);
-  }
-  return pid + 1;
 }
 
 const std::vector<std::pair<SimTime, double>>& FaultInjector::iface_timeline(

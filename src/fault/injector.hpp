@@ -35,20 +35,13 @@
 
 namespace midrr::telemetry {
 class MetricsRegistry;
-class ChromeTraceBuilder;
+class FlightLog;
 }  // namespace midrr::telemetry
 
 namespace midrr::fault {
 
 /// What an ingress offer should suffer right now.
 enum class IngressAction : std::uint8_t { kNone, kDrop, kDup, kDelay };
-
-/// One entry of the injector's (low-rate, mutex-guarded) event log --
-/// consumed by tests and rendered into the Chrome trace after a run.
-struct FaultLogEntry {
-  SimTime at_ns = 0;
-  std::string what;
-};
 
 class FaultInjector {
  public:
@@ -75,8 +68,11 @@ class FaultInjector {
   /// Snapshot form (no cursor); O(log points).  For tests and supervision.
   double iface_scale_at(IfaceId iface, SimTime now) const;
 
-  /// Record that a worker applied a scale transition (telemetry + log).
-  void note_iface_transition(IfaceId iface, SimTime now, double scale);
+  /// Counts a scale transition a worker applied (the worker logs it into
+  /// its own flight lane).
+  void note_iface_transition() {
+    iface_transitions_.fetch_add(1, std::memory_order_relaxed);
+  }
 
   // --- Worker stalls & the restart safe point ----------------------------
 
@@ -91,10 +87,12 @@ class FaultInjector {
   /// window covers `now`, parks the calling thread until the window ends,
   /// a restart preempts it, or release_all() (shutdown).  `generation` is
   /// the worker's slot generation; `my_generation` the value this thread
-  /// was spawned with.
+  /// was spawned with.  A stall is logged into the worker's own flight
+  /// `lane` (if any) before the thread parks.
   StallOutcome maybe_stall(std::uint32_t worker, SimTime now,
                            const std::atomic<std::uint64_t>& generation,
-                           std::uint64_t my_generation);
+                           std::uint64_t my_generation,
+                           telemetry::FlightLog* lane = nullptr);
 
   /// True while worker `w` is parked inside maybe_stall (racy peek for
   /// telemetry; the authoritative check happens inside begin_restart).
@@ -163,14 +161,6 @@ class FaultInjector {
   /// Registers midrr_fault_* series; `registry` must outlive the injector.
   void register_metrics(telemetry::MetricsRegistry& registry);
 
-  /// Copy of the event log (fault applications in wall order).
-  std::vector<FaultLogEntry> log() const;
-
-  /// Renders the event log as instant events on a process row of its own,
-  /// `pid`, which it names; returns the next pid, pid + 1.
-  std::uint32_t export_trace(telemetry::ChromeTraceBuilder& trace,
-                             std::uint32_t pid) const;
-
   /// The compiled (time, scale) timeline for one interface (tests).
   const std::vector<std::pair<SimTime, double>>& iface_timeline(
       IfaceId iface) const;
@@ -192,7 +182,6 @@ class FaultInjector {
 
   static const Window* find_window(const std::vector<Window>& windows,
                                    SimTime now);
-  void append_log(SimTime at, std::string what);
 
   FaultPlan plan_;
   bool attached_ = false;
@@ -215,9 +204,6 @@ class FaultInjector {
   std::atomic<std::uint64_t> pool_rejects_{0};
   std::atomic<std::uint64_t> stalls_entered_{0};
   std::atomic<std::uint64_t> iface_transitions_{0};
-
-  mutable std::mutex log_mu_;
-  std::vector<FaultLogEntry> log_;
 };
 
 }  // namespace midrr::fault

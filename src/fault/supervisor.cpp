@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 
 #include "fairness/clusters.hpp"
 #include "fairness/maxmin.hpp"
 #include "fault/adapt.hpp"
 #include "fault/recorder.hpp"
-#include "telemetry/chrome_trace.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/assert.hpp"
 
@@ -210,13 +208,12 @@ void Supervisor::probe_workers() {
     const SimTime now = rt_.now_ns();
     if (rt_.restart_worker(w)) {
       restarts_succeeded_.fetch_add(1, std::memory_order_relaxed);
-      append_log(now, "worker " + std::to_string(w) + " restarted");
+      log(now, telemetry::FlightCode::kWorkerRestart, w);
     } else {
       // Not at the safe point: restarting a thread wedged in arbitrary
       // code would corrupt shard state, so the runtime refused.
       restarts_refused_.fetch_add(1, std::memory_order_relaxed);
-      append_log(now, "worker " + std::to_string(w) +
-                          " restart refused (not at safe point)");
+      log(now, telemetry::FlightCode::kRestartRefused, w);
     }
   }
 }
@@ -230,18 +227,10 @@ void Supervisor::transition(IfaceId iface, LinkHealth& health, LinkState to,
   state_mirror_[iface].store(static_cast<std::uint8_t>(to),
                              std::memory_order_relaxed);
   transitions_.fetch_add(1, std::memory_order_relaxed);
-  if (flight_ != nullptr) {
-    telemetry::FlightCode code = telemetry::FlightCode::kLinkHealthy;
-    if (to == LinkState::kSuspect) code = telemetry::FlightCode::kLinkSuspect;
-    if (to == LinkState::kDead) code = telemetry::FlightCode::kLinkDead;
-    flight_->log(static_cast<std::uint64_t>(now),
-                 telemetry::FlightCategory::kSupervisor, code, iface,
-                 static_cast<std::uint64_t>(from));
-  }
-  std::ostringstream what;
-  what << "link " << rt_.iface_name(iface) << " " << to_string(from) << " -> "
-       << to_string(to);
-  append_log(now, what.str());
+  telemetry::FlightCode code = telemetry::FlightCode::kLinkHealthy;
+  if (to == LinkState::kSuspect) code = telemetry::FlightCode::kLinkSuspect;
+  if (to == LinkState::kDead) code = telemetry::FlightCode::kLinkDead;
+  log(now, code, iface, static_cast<std::uint64_t>(from));
   // Terminal verdicts feed the determinism signature and the recorder;
   // suspect flicker deliberately does not (it is probe-timing sensitive).
   if (to == LinkState::kDead) {
@@ -314,12 +303,12 @@ void Supervisor::replay_clustering(SimTime now) {
   }
   if (violation.has_value()) {
     clustering_violations_.fetch_add(1, std::memory_order_relaxed);
-    append_log(now, "clustering violation on survivors: " + *violation);
+    log(now, telemetry::FlightCode::kClusteringViolation,
+        input.weights.size());
   } else {
-    std::ostringstream what;
-    what << "clustering consistent on survivors (" << input.weights.size()
-         << " flows, total " << result.total_rate_bps() / 1e6 << " Mbit/s)";
-    append_log(now, what.str());
+    log(now, telemetry::FlightCode::kClusteringConsistent,
+        input.weights.size(),
+        static_cast<std::uint64_t>(result.total_rate_bps()));
   }
 }
 
@@ -370,23 +359,12 @@ void Supervisor::register_metrics(telemetry::MetricsRegistry& registry) {
       [this] { return static_cast<double>(clustering_violations()); });
 }
 
-void Supervisor::append_log(SimTime at, std::string what) {
-  std::lock_guard<std::mutex> lk(verdict_mu_);
-  log_.push_back(FaultLogEntry{at, std::move(what)});
-}
-
-std::vector<FaultLogEntry> Supervisor::log() const {
-  std::lock_guard<std::mutex> lk(verdict_mu_);
-  return log_;
-}
-
-std::uint32_t Supervisor::export_trace(telemetry::ChromeTraceBuilder& trace,
-                                       std::uint32_t pid) const {
-  trace.set_process_name(pid, "supervisor");
-  for (const FaultLogEntry& entry : log()) {
-    trace.add_instant(pid, 0, entry.what, entry.at_ns);
+void Supervisor::log(SimTime at, telemetry::FlightCode code, std::uint64_t a,
+                     std::uint64_t b) {
+  if (flight_ != nullptr) {
+    flight_->log(static_cast<std::uint64_t>(at),
+                 telemetry::FlightCategory::kSupervisor, code, a, b);
   }
-  return pid + 1;
 }
 
 }  // namespace midrr::fault

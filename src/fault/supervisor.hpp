@@ -32,6 +32,8 @@
 //     thread wedged in arbitrary code is refused and counted -- restarting
 //     it blind would corrupt shard state.
 //
+// Verdicts, restarts and replays go into the supervisor's flight lane (see
+// set_flight_log); the Chrome trace and the post-mortem dump render it.
 // One background thread, probe-driven; all verdict state is plain fields
 // owned by that thread, with atomics mirroring what other threads read.
 #pragma once
@@ -195,9 +197,10 @@ class Supervisor {
   /// Registers midrr_supervisor_* series; `registry` must outlive this.
   void register_metrics(telemetry::MetricsRegistry& registry);
 
-  /// Mirrors link verdicts into a flight-recorder lane.  The lane is
-  /// written only by the probe thread (single-writer contract); set it
-  /// before start() and leave it for the supervisor's lifetime.
+  /// Logs link verdicts, worker restarts and Theorem-2 replays into a
+  /// flight-recorder lane.  The lane is written only by the probe thread
+  /// (single-writer contract); set it before start() and leave it for the
+  /// supervisor's lifetime.
   void set_flight_log(telemetry::FlightLog* log) { flight_ = log; }
 
   /// Drives an adaptive controller's on_probe() from each link probe with
@@ -212,14 +215,6 @@ class Supervisor {
   /// record->replay determinism signature.  Suspect flicker is excluded on
   /// purpose: it is timing-sensitive, terminal verdicts are not.
   std::vector<std::string> verdict_sequence() const;
-
-  /// Copy of the verdict/event log (probe-thread written, wall order).
-  std::vector<FaultLogEntry> log() const;
-
-  /// Renders the event log as instant events on a process row of its own,
-  /// `pid`, which it names; returns the next pid, pid + 1.
-  std::uint32_t export_trace(telemetry::ChromeTraceBuilder& trace,
-                             std::uint32_t pid) const;
 
  private:
   struct LinkHealth {
@@ -242,7 +237,8 @@ class Supervisor {
   void transition(IfaceId iface, LinkHealth& health, LinkState to,
                   SimTime now);
   void replay_clustering(SimTime now);
-  void append_log(SimTime at, std::string what);
+  void log(SimTime at, telemetry::FlightCode code, std::uint64_t a = 0,
+           std::uint64_t b = 0);
   void supervise_main();
 
   SupervisedRuntime& rt_;
@@ -267,7 +263,6 @@ class Supervisor {
 
   mutable std::mutex verdict_mu_;
   std::string clustering_verdict_;
-  std::vector<FaultLogEntry> log_;
   std::vector<std::string> verdicts_;  ///< guarded by verdict_mu_
 
   std::thread thread_;

@@ -89,12 +89,13 @@ void HttpRangeProxy::on_departure(std::size_t index, IfaceId,
   top_up(index);
 }
 
-ProxyResult HttpRangeProxy::run(SimTime duration) {
+void HttpRangeProxy::on_start() {
   for (std::size_t idx = 0; idx < harness_.flow_count(); ++idx) top_up(idx);
   for (const auto& link : harness_.links()) link->notify_backlog();
-  harness_.arm_samplers();
+}
 
-  harness_.simulator().run_until(duration);
+ProxyResult HttpRangeProxy::run(SimTime duration) {
+  harness_.run_until(duration);
 
   const Scheduler& sched = harness_.scheduler();
   ProxyResult result;

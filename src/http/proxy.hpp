@@ -83,6 +83,7 @@ class HttpRangeProxy final : private SimHarness::Hooks {
                  std::vector<ProxyFlowSpec> flows, ProxyOptions options = {});
   ~HttpRangeProxy();
 
+  /// Runs to `duration` of simulated time; later calls continue the run.
   ProxyResult run(SimTime duration);
 
   /// The scheduler choosing chunks; attach a SchedulerObserver here
@@ -104,6 +105,7 @@ class HttpRangeProxy final : private SimHarness::Hooks {
 
   ByteRange range_of(const Packet& chunk) const;
   void top_up(std::size_t index);
+  void on_start() override;
   void on_dequeue(std::size_t index, const Packet& chunk) override;
   void on_departure(std::size_t index, IfaceId iface, const Packet& chunk,
                     SimTime at) override;

@@ -56,14 +56,15 @@ void RemoteProxy::deliver(IfaceId path) {
   }
 }
 
-InboundResult RemoteProxy::run(SimTime duration) {
+void RemoteProxy::on_start() {
   for (std::size_t idx = 0; idx < harness_.flow_count(); ++idx) {
     harness_.start_source(idx);
   }
   for (const auto& path : harness_.links()) path->notify_backlog();
-  harness_.arm_samplers();
+}
 
-  harness_.simulator().run_until(duration);
+InboundResult RemoteProxy::run(SimTime duration) {
+  harness_.run_until(duration);
 
   InboundResult result;
   for (std::size_t idx = 0; idx < harness_.flow_count(); ++idx) {

@@ -68,6 +68,7 @@ class RemoteProxy final : private SimHarness::Hooks {
               Policy policy = Policy::kMiDrr);
   ~RemoteProxy();
 
+  /// Runs to `duration` of simulated time; later calls continue the run.
   InboundResult run(SimTime duration);
 
   Scheduler& scheduler() { return harness_.scheduler(); }
@@ -90,6 +91,7 @@ class RemoteProxy final : private SimHarness::Hooks {
     std::vector<std::uint64_t> bytes_per_path{};
   };
 
+  void on_start() override;
   void on_departure(std::size_t index, IfaceId path, const Packet& packet,
                     SimTime at) override;
   void deliver(IfaceId path);

@@ -4,6 +4,7 @@
 
 #include "fault/adapt.hpp"
 #include "util/assert.hpp"
+#include "util/indexed_name.hpp"
 
 namespace midrr::rt {
 
@@ -14,6 +15,10 @@ namespace {
 /// so this bounds wakeup latency, not throughput; pacer depths are sized
 /// to absorb several park periods (see auto_depth below).
 constexpr std::chrono::nanoseconds kParkSlice{500'000};  // 500 us
+// A worker logs at most one drop run per kind per this long: overload
+// drops on every fan-in pass, and one event per pass would push the
+// transitions a post-mortem or a trace exists for out of the lane.
+constexpr SimTime kDropRunNs = 100'000'000;  // 100 ms
 
 std::uint64_t auto_depth(const RateProfile& profile,
                          std::uint64_t configured,
@@ -261,24 +266,27 @@ Runtime::Runtime(const RuntimeOptions& options)
   MIDRR_REQUIRE(options_.burst_bytes > 0, "burst_bytes must be positive");
   MIDRR_REQUIRE(options_.fanin_batch > 0, "fanin_batch must be positive");
   shed_bytes_.store(options_.shed_bytes, std::memory_order_relaxed);
-  MIDRR_REQUIRE(options_.trace_events == 0 || options_.metrics != nullptr,
-                "trace_events requires a metrics registry (the recorder "
-                "chains behind the per-shard MetricsObserver)");
+  MIDRR_REQUIRE(!options_.trace || (options_.flight != nullptr &&
+                                     options_.metrics != nullptr),
+                "trace requires a flight recorder and a metrics registry (the "
+                "per-shard MetricsObserver writes the shard lanes)");
   for (std::size_t s = 0; s < options_.shards; ++s) {
     auto shard = std::make_unique<Shard>();
     // User observers are rejected above (arbitrary code inside the shard
     // locks); the internal MetricsObserver is the sanctioned exception --
-    // its callbacks are single relaxed increments, optionally chained to a
-    // bounded TraceRecorder for Chrome-trace export.
+    // its callbacks are single relaxed increments and, when tracing,
+    // wait-free writes into the shard's flight lane.
     SchedulerOptions sched_opts = options_.sched;
     if (options_.metrics != nullptr) {
-      if (options_.trace_events > 0) {
-        shard->recorder = std::make_unique<TraceRecorder>(options_.trace_events);
+      telemetry::SchedulerLane lane;
+      if (options_.trace) {
+        lane.log = &options_.flight->add_writer(indexed_name("shard", s));
+        lane.global_of_flow = &shard->global_of_flow;
+        lane.global_of_iface = &shard->ifaces;
       }
       shard->observer = std::make_unique<telemetry::MetricsObserver>(
           *options_.metrics,
-          telemetry::LabelSet{{"shard", std::to_string(s)}},
-          shard->recorder.get());
+          telemetry::LabelSet{{"shard", std::to_string(s)}}, lane);
       sched_opts.observer = shard->observer.get();
     }
     shard->sched = make_scheduler(options_.policy, sched_opts);
@@ -379,18 +387,17 @@ void Runtime::start() {
       // thread inherits its slot's lane, and the superseded thread never
       // writes again (it exits at the stall safe point without logging),
       // so the single-writer contract holds across watchdog restarts.
-      worker->flight =
-          &options_.flight->add_writer("worker" + std::to_string(w));
+      const std::string name = indexed_name("worker", w);
+      worker->flight = &options_.flight->add_writer(name);
+      if (options_.trace) {
+        worker->spans = &options_.flight->add_writer(name + " spans");
+      }
     }
     if (options_.metrics != nullptr) {
       options_.metrics->histogram_grid(
           "midrr_rt_packet_wait_ns",
           "Enqueue-to-drain packet wait, nanoseconds.",
           {{"worker", std::to_string(w)}}, worker->latency);
-    }
-    if (options_.trace_spans > 0) {
-      worker->span_cap = options_.trace_spans;
-      worker->spans.reserve(options_.trace_spans);
     }
     workers_.push_back(std::move(worker));
   }
@@ -659,7 +666,7 @@ void Runtime::worker_main(std::uint32_t w, std::uint64_t my_generation) {
         if (scale != applied_scale[j]) {
           ifaces_[j]->pacer.set_rate_scale(scale, now);
           applied_scale[j] = scale;
-          injector->note_iface_transition(j, now, scale);
+          injector->note_iface_transition();
           if (me.flight != nullptr) {
             me.flight->log(static_cast<std::uint64_t>(now),
                            telemetry::FlightCategory::kFault,
@@ -668,7 +675,8 @@ void Runtime::worker_main(std::uint32_t w, std::uint64_t my_generation) {
           }
         }
       }
-      if (injector->maybe_stall(w, now, me.generation, my_generation) ==
+      if (injector->maybe_stall(w, now, me.generation, my_generation,
+                                me.flight) ==
           fault::FaultInjector::StallOutcome::kSuperseded) {
         // A watchdog restarted this slot while we were parked at the safe
         // point; the replacement owns all state from here.  Exit without
@@ -680,15 +688,37 @@ void Runtime::worker_main(std::uint32_t w, std::uint64_t my_generation) {
     for (const std::uint32_t s : me.home_shards) {
       did_work |= drain_ingress(s, me, scratch);
     }
+    if (me.flight != nullptr) log_drop_runs(me, /*all=*/false);
     for (const IfaceId j : me.ifaces) {
       did_work |= drain_iface(j, me, burst);
     }
     if (!did_work) park(me, kParkSlice.count());
   }
   if (me.flight != nullptr) {
+    log_drop_runs(me, /*all=*/true);
     me.flight->log(static_cast<std::uint64_t>(now_ns()),
                    telemetry::FlightCategory::kRuntime,
                    telemetry::FlightCode::kWorkerExit, w, my_generation);
+  }
+}
+
+void Runtime::log_drop_runs(Worker& me, bool all) {
+  static constexpr telemetry::FlightCode kCodes[] = {
+      telemetry::FlightCode::kShedDrops, telemetry::FlightCode::kStragglerDrops,
+      telemetry::FlightCode::kTailDrops};
+  SimTime now = -1;  // read once, and only when a run is open
+  for (std::size_t k = 0; k < me.drop_runs.size(); ++k) {
+    Worker::DropRun& run = me.drop_runs[k];
+    if (run.packets == 0) continue;
+    if (!all) {
+      if (now < 0) now = now_ns();
+      if (now - run.first < kDropRunNs) continue;
+    }
+    me.flight->log(static_cast<std::uint64_t>(run.first),
+                   telemetry::FlightCategory::kRuntime, kCodes[k],
+                   static_cast<std::uint64_t>(run.last), run.packets,
+                   run.passes);
+    run = Worker::DropRun{};
   }
 }
 
@@ -700,12 +730,12 @@ bool Runtime::drain_ingress(std::uint32_t shard_index, Worker& me,
     ring->pop_batch(scratch, options_.fanin_batch);
   }
   if (scratch.empty()) return false;
-  const SimTime span_begin = me.span_cap != 0 ? now_ns() : 0;
+  const SimTime span_begin = options_.trace ? now_ns() : 0;
   // One clock read covers the whole batch: the fan-in stamp separates
   // "waiting in an SPSC ring" from "queued in the scheduler", and a
   // per-packet read here would cost more than the distinction is worth.
   const SimTime t_fanin =
-      tracer_ != nullptr ? (me.span_cap != 0 ? span_begin : now_ns()) : 0;
+      tracer_ != nullptr ? (options_.trace ? span_begin : now_ns()) : 0;
   std::uint64_t accepted = 0;
   std::uint64_t gone = 0;
   std::uint64_t dropped = 0;
@@ -800,31 +830,27 @@ bool Runtime::drain_ingress(std::uint32_t shard_index, Worker& me,
   // any trace tags among them are unreachable here, so their records age
   // out as "lost" rather than "dropped" (started >= completed+lost+dropped).
   if (me.flight != nullptr && (shed > 0 || gone > 0 || dropped > 0)) {
-    const std::uint64_t t_flight = static_cast<std::uint64_t>(
-        me.span_cap != 0 ? span_begin : now_ns());
-    if (shed > 0) {
-      me.flight->log(t_flight, telemetry::FlightCategory::kRuntime,
-                     telemetry::FlightCode::kShedDrops, shed);
-    }
-    if (gone > 0) {
-      me.flight->log(t_flight, telemetry::FlightCategory::kRuntime,
-                     telemetry::FlightCode::kStragglerDrops, gone);
-    }
-    if (dropped > 0) {
-      me.flight->log(t_flight, telemetry::FlightCategory::kRuntime,
-                     telemetry::FlightCode::kTailDrops, dropped);
+    const SimTime t = options_.trace ? span_begin : now_ns();
+    const std::uint64_t counts[] = {shed, gone, dropped};
+    for (std::size_t k = 0; k < me.drop_runs.size(); ++k) {
+      if (counts[k] == 0) continue;
+      Worker::DropRun& run = me.drop_runs[k];
+      if (run.packets == 0) run.first = t;
+      run.last = t;
+      run.packets += counts[k];
+      ++run.passes;
     }
   }
-  if (me.span_cap != 0) {
-    telemetry::TraceSpan span;
-    span.kind = telemetry::TraceSpan::Kind::kFanIn;
-    span.worker = me.index;
-    span.begin_ns = span_begin;
-    span.end_ns = now_ns();
-    span.shard = shard_index;
-    span.packets = total;
-    span.bytes = moved_bytes;
-    record_span(me, span);
+  // A pass that landed nothing in the scheduler is all drops: its drop
+  // runs cover it, and under overload such passes come at loop rate.
+  if (me.spans != nullptr && accepted > 0) {
+    me.spans->log(static_cast<std::uint64_t>(span_begin),
+                  telemetry::FlightCategory::kRuntime,
+                  telemetry::FlightCode::kFanInSpan,
+                  static_cast<std::uint64_t>(now_ns()),
+                  telemetry::span_where(shard_index,
+                                        static_cast<std::uint32_t>(total)),
+                  moved_bytes);
   }
   if (gone > 0 && straggler_warn_.allow()) {
     MIDRR_LOG_WARN() << "dropped " << gone << " straggler packet(s) for "
@@ -1108,27 +1134,17 @@ bool Runtime::drain_iface(IfaceId iface, Worker& me,
   me.dequeued.fetch_add(count, std::memory_order_relaxed);
   me.dequeued_bytes.fetch_add(bytes, std::memory_order_relaxed);
   me.bursts.fetch_add(1, std::memory_order_relaxed);
-  if (me.span_cap != 0) {
-    telemetry::TraceSpan span;
-    span.kind = telemetry::TraceSpan::Kind::kDrain;
-    span.worker = me.index;
-    span.begin_ns = t0;
-    span.end_ns = drained_at;
-    span.iface = iface;
-    span.packets = count;
-    span.bytes = bytes;
-    record_span(me, span);
+  if (me.spans != nullptr) {
+    me.spans->log(static_cast<std::uint64_t>(t0),
+                  telemetry::FlightCategory::kRuntime,
+                  telemetry::FlightCode::kDrainSpan,
+                  static_cast<std::uint64_t>(drained_at),
+                  telemetry::span_where(iface,
+                                        static_cast<std::uint32_t>(count)),
+                  bytes);
   }
   burst.clear();
   return true;
-}
-
-void Runtime::record_span(Worker& me, telemetry::TraceSpan span) {
-  if (me.spans.size() < me.span_cap) {
-    me.spans.push_back(span);
-  } else {
-    me.spans_dropped.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 bool Runtime::ingress_pending(const Worker& me) const {
@@ -1425,12 +1441,6 @@ void Runtime::register_metrics() {
                  "Drain-loop liveness tick; a frozen value marks a stalled "
                  "worker.",
                  labels, count_of(w->heartbeat));
-    if (options_.trace_spans > 0) {
-      reg.counter_fn("midrr_rt_trace_spans_dropped_total",
-                     "Work spans discarded because the per-worker trace "
-                     "buffer was full (the exported timeline is truncated).",
-                     labels, count_of(w->spans_dropped));
-    }
   }
 
   for (const auto& rp : ifaces_) {
@@ -1494,17 +1504,6 @@ void Runtime::register_metrics() {
                    }
                    return static_cast<double>(waiting);
                  });
-    if (shard->recorder != nullptr) {
-      // overflowed() is written under the shard mutex; the scrape takes it
-      // too (leaf lock, scrape-rate only -- never under another lock here).
-      reg.counter_fn("midrr_rt_trace_events_lost_total",
-                     "Scheduler trace events evicted from the ring buffer "
-                     "(the captured timeline is truncated).",
-                     labels, [shard] {
-                       std::lock_guard<std::mutex> lock(shard->mu);
-                       return static_cast<double>(shard->recorder->overflowed());
-                     });
-    }
   }
 
   // Egress: one info-style gauge naming the active backend, then whatever
@@ -1538,6 +1537,17 @@ void Runtime::register_metrics() {
                    [flight] {
                      return static_cast<double>(flight->dumps());
                    });
+    // Every lane exists by now: the caller's were added before start(),
+    // the shards' at construction and the workers' above.
+    for (const auto& lane : flight->lanes()) {
+      const telemetry::FlightLog* log = lane.get();
+      reg.counter_fn("midrr_flight_events_lost_total",
+                     "Events this flight lane's ring overwrote (the dump and "
+                     "the trace show only the newest).",
+                     {{"lane", log->name()}}, [log] {
+                       return static_cast<double>(log->lost());
+                     });
+    }
   }
 }
 
@@ -1604,36 +1614,6 @@ telemetry::FairnessSample Runtime::fairness_sample() {
     }
   }
   return out;
-}
-
-std::uint32_t Runtime::export_trace(telemetry::ChromeTraceBuilder& trace,
-                                    std::uint32_t first_pid) const {
-  MIDRR_REQUIRE(!running(),
-                "export_trace requires a stopped runtime (recorders and "
-                "span buffers are written by worker threads while running)");
-  std::uint32_t pid = first_pid;
-  std::vector<telemetry::TraceSpan> spans;
-  for (const auto& worker : workers_) {
-    spans.insert(spans.end(), worker->spans.begin(), worker->spans.end());
-  }
-  if (!spans.empty()) {
-    trace.set_process_name(pid, "runtime workers");
-    trace.add_spans(spans, pid);
-    ++pid;
-  }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = *shards_[s];
-    if (shard.recorder == nullptr) continue;
-    trace.set_process_name(pid, "shard " + std::to_string(s) + " scheduler");
-    trace.add_recorder(*shard.recorder, pid);
-    ++pid;
-  }
-  return pid;
-}
-
-const TraceRecorder* Runtime::shard_recorder(std::size_t shard) const {
-  MIDRR_REQUIRE(shard < shards_.size(), "unknown shard");
-  return shards_[shard]->recorder.get();
 }
 
 }  // namespace midrr::rt

@@ -32,6 +32,7 @@
 // shard mutex acquisition by producers (IngressPort routes, then pushes).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -52,10 +53,8 @@
 #include "runtime/control_plane.hpp"
 #include "runtime/pacer.hpp"
 #include "runtime/spsc_ring.hpp"
-#include "sched/observer.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/rate_profile.hpp"
-#include "telemetry/chrome_trace.hpp"
 #include "telemetry/fairness_drift.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
@@ -92,14 +91,12 @@ struct RuntimeOptions {
   /// here at start() and installs a wait-free MetricsObserver per shard
   /// scheduler.  Must outlive the Runtime.
   telemetry::MetricsRegistry* metrics = nullptr;
-  /// Per-shard TraceRecorder ring capacity for scheduler micro-events
-  /// (grants, flag skips, sends); 0 disables event capture.  Requires
-  /// `metrics` (the recorder chains behind the MetricsObserver).
-  std::size_t trace_events = 0;
-  /// Per-worker bound on recorded work spans (fan-in batches, drain
-  /// bursts) for Chrome-trace export; 0 disables span capture.  Spans past
-  /// the bound are dropped and counted, never reallocated.
-  std::size_t trace_spans = 0;
+  /// Log micro-events into `flight`'s lanes for the Chrome trace: each
+  /// shard's scheduler events (grants, flag skips, sends, drains) into a
+  /// lane of its own, and each worker's fan-in and drain spans into a
+  /// "workerN spans" lane beside its worker lane.  Requires `flight` and
+  /// `metrics` (the shard lanes are written by the MetricsObserver).
+  bool trace = false;
   /// Stage-latency attribution: trace every Nth packet of each flow (per
   /// producer) through ring/queue/egress stage histograms.  0 disables
   /// (the hot path then pays one null test per seam); 1 traces everything
@@ -110,11 +107,12 @@ struct RuntimeOptions {
   /// outlive the Runtime; bind_class/register_metrics stay the caller's
   /// job.  Requires stage_sample_every > 0 to ever see a sample.
   telemetry::SloEngine* slo = nullptr;
-  /// Flight recorder for post-mortem event timelines.  The runtime adds
-  /// one writer per worker at start() and logs lifecycle/drop/pushback
-  /// events; the caller must add ITS writers (supervisor, health) before
-  /// start() and must not add any afterwards (the writer list is read
-  /// lock-free by scrapes).  Must outlive the Runtime.
+  /// Flight recorder: the process's event log.  The runtime adds one lane
+  /// per shard at construction when tracing and one per worker at start(),
+  /// and logs lifecycle/drop/pushback events; the caller must add ITS lanes
+  /// (supervisor, health) before start() and must not add any afterwards
+  /// (the lane list is read lock-free by scrapes).  Must outlive the
+  /// Runtime.
   telemetry::FlightRecorder* flight = nullptr;
 
   // --- Fault tolerance (all optional; one pointer test when disabled) ----
@@ -447,20 +445,6 @@ class Runtime final : public telemetry::FairnessSource,
   /// telemetry::FairnessDriftSampler.
   telemetry::FairnessSample fairness_sample() override;
 
-  /// Renders the worker spans (one thread row per worker) and each shard's
-  /// captured scheduler events into `trace`, one process row per source
-  /// from `first_pid` on: the workers' row, if any spans were captured,
-  /// then one per shard with a recorder.  Each row is named once.  Returns
-  /// the first pid left unused, where the next exporter starts.  Only
-  /// valid after stop() -- recorders and span buffers are written by worker
-  /// threads while running.  Uses no pid unless trace capture was enabled.
-  std::uint32_t export_trace(telemetry::ChromeTraceBuilder& trace,
-                             std::uint32_t first_pid) const;
-
-  /// The per-shard scheduler event recorder (nullptr unless
-  /// options.trace_events > 0).  Read only after stop().
-  const TraceRecorder* shard_recorder(std::size_t shard) const;
-
   /// The stage-latency tracer (nullptr unless options.stage_sample_every
   /// > 0).  Valid after start(); counters and grids are readable from any
   /// thread while running.
@@ -476,7 +460,8 @@ class Runtime final : public telemetry::FairnessSource,
     std::vector<FlowId> local_of_flow;    // by global FlowId (guarded by mu)
     std::vector<FlowId> global_of_flow;   // by local FlowId (guarded by mu)
     std::vector<std::unique_ptr<SpscRing<Packet>>> ingress;  // [producer]
-    std::vector<IfaceId> ifaces;          // global ids hosted here (pre-start)
+    std::vector<IfaceId> ifaces;          // global ids hosted here, by local
+                                          // id (pre-start)
     std::uint32_t home_worker = 0;        // runs this shard's fan-in
     std::vector<std::uint32_t> kick_on_enqueue;  // workers owning our ifaces
     // Shed bookkeeping (guarded by mu): live weights by local flow id, and
@@ -499,9 +484,9 @@ class Runtime final : public telemetry::FairnessSource,
     alignas(kCacheLine) std::atomic<std::uint64_t> backlog_bytes{0};
     std::atomic<std::uint64_t> straggler_drops{0};  // removed-flow backlog
     // Telemetry (optional; installed at construction, fire under mu).  The
-    // observer's callbacks are single relaxed increments -- the one
-    // observer shape allowed inside the shard locks.
-    std::unique_ptr<TraceRecorder> recorder;  // chained behind observer
+    // observer's callbacks are relaxed increments and, when tracing,
+    // wait-free writes into the shard's flight lane -- the one observer
+    // shape allowed inside the shard locks.
     std::unique_ptr<telemetry::MetricsObserver> observer;
   };
 
@@ -560,22 +545,31 @@ class Runtime final : public telemetry::FairnessSource,
     // touching any runtime state.
     std::atomic<std::uint64_t> heartbeat{0};
     std::atomic<std::uint64_t> generation{0};
-    /// Flight-recorder lane (null unless RuntimeOptions::flight).  Written
-    /// by the slot's CURRENT thread only; a superseded thread logs nothing
+    /// Flight-recorder lane (null unless RuntimeOptions::flight): the
+    /// worker's lifecycle, faults, drop runs and I/O pushback.  Written by
+    /// the slot's CURRENT thread only; a superseded thread logs nothing
     /// after observing kSuperseded, so the single-writer contract holds
     /// across watchdog restarts.
     telemetry::FlightLog* flight = nullptr;
+    /// The worker's fan-in and drain spans (null unless tracing), on a lane
+    /// of their own so packet-rate spans never overwrite the transitions
+    /// in `flight`.  Same writer contract.
+    telemetry::FlightLog* spans = nullptr;
+    /// Fan-in drops not yet in `flight`, one run per kind (shed, straggler,
+    /// tail): the stamps of the first and latest dropping pass since the
+    /// kind's last logged run, its packets and passes.  Same writer as
+    /// `flight`.
+    struct DropRun {
+      SimTime first = 0, last = 0;
+      std::uint64_t packets = 0, passes = 0;
+    };
+    std::array<DropRun, 3> drop_runs{};
     /// Per-packet verdict scratch for EgressBackend::send_burst (owned by
     /// the worker thread; reused across bursts, never shrunk).
     std::vector<io::SendDisposition> dispositions;
     /// Resolved-completion scratch for EgressBackend::poll_completions /
     /// reclaim_inflight (owned by the worker thread; reused, never shrunk).
     std::vector<io::EgressCompletion> completions;
-    /// Chrome-trace work spans: a bounded, preallocated buffer owned by the
-    /// worker thread and read only after stop().
-    std::vector<telemetry::TraceSpan> spans;
-    std::size_t span_cap = 0;
-    std::atomic<std::uint64_t> spans_dropped{0};
     // Parking: kicked is the wakeup token, asleep gates the notify.
     // `asleep` gets its own line: every producer polls it once per offer
     // (the Dekker-style sleep check in IngressPort::offer), and sharing a
@@ -601,6 +595,10 @@ class Runtime final : public telemetry::FairnessSource,
   bool drain_ingress(std::uint32_t shard_index, Worker& me,
                      std::vector<Packet>& scratch);
   bool drain_iface(IfaceId iface, Worker& me, std::vector<Packet>& burst);
+  /// Logs each of the worker's drop runs once it has been open for
+  /// kDropRunNs -- or every open run, when `all` (worker exit) -- so a
+  /// lane holds at most one run per kind per kDropRunNs.
+  void log_drop_runs(Worker& me, bool all);
   /// Delivery-side accounting for ONE packet the backend reported sent:
   /// latency sample, per-flow and per-interface service counters.
   void account_sent(IfaceRec& rec, Worker& me, const Packet& packet,
@@ -631,7 +629,6 @@ class Runtime final : public telemetry::FairnessSource,
   /// counted io_drops (never silent loss).  Single-threaded.
   void flush_egress();
   void register_metrics();  ///< start()-time, when options_.metrics is set
-  void record_span(Worker& me, telemetry::TraceSpan span);
   void park(Worker& me, SimTime hint_ns);
   void kick(std::uint32_t worker);
   /// Producer-side wakeup: only touches the worker's park machinery when

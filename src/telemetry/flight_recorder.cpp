@@ -19,60 +19,59 @@ const char* to_string(FlightCategory category) {
     case FlightCategory::kFault: return "fault";
     case FlightCategory::kSupervisor: return "supervisor";
     case FlightCategory::kHealth: return "health";
+    case FlightCategory::kSched: return "sched";
   }
   return "?";
 }
 
-const char* to_string(FlightCode code) {
-  switch (code) {
-    case FlightCode::kWorkerStart: return "worker_start";
-    case FlightCode::kWorkerExit: return "worker_exit";
-    case FlightCode::kWorkerRestart: return "worker_restart";
-    case FlightCode::kShedDrops: return "shed_drops";
-    case FlightCode::kStragglerDrops: return "straggler_drops";
-    case FlightCode::kTailDrops: return "tail_drops";
-    case FlightCode::kIoPushback: return "io_pushback";
-    case FlightCode::kIoFlushDrops: return "io_flush_drops";
-    case FlightCode::kFaultScale: return "fault_scale";
-    case FlightCode::kLinkSuspect: return "link_suspect";
-    case FlightCode::kLinkDead: return "link_dead";
-    case FlightCode::kLinkHealthy: return "link_healthy";
-    case FlightCode::kHealthDegraded: return "health_degraded";
-    case FlightCode::kHealthRecovered: return "health_recovered";
-    case FlightCode::kConservationTrip: return "conservation_trip";
-    case FlightCode::kNote: return "note";
+void write_args(JsonWriter& out, const FlightEvent& e) {
+  const FlightCodeInfo& info = flight_info(e.code);
+  if (info.a != nullptr) out.field(info.a, e.a);
+  if (info.b_packets) {
+    out.field(info.b, e.b >> 32).field("packets", e.b & 0xffffffffu);
+  } else if (info.b != nullptr) {
+    out.field(info.b, e.b);
   }
-  return "?";
+  if (info.c_signed) {
+    out.field(info.c, static_cast<std::int64_t>(e.c));
+  } else if (info.c != nullptr) {
+    out.field(info.c, e.c);
+  }
 }
 
-void FlightLog::snapshot(std::vector<FlightEvent>& out) const {
+std::uint64_t FlightLog::snapshot(std::vector<FlightEvent>& out,
+                                  std::uint64_t newest) const {
   const std::uint64_t h = head_.load(std::memory_order_acquire);
-  const std::uint64_t cap = slots_.size();
+  const std::uint64_t cap = std::min<std::uint64_t>(slots_.size(), newest);
   const std::uint64_t first = h > cap ? h - cap : 0;
   struct Raw {
-    std::uint64_t index, t_ns, a, b;
+    std::uint64_t t_ns, a, b, c;
     std::uint32_t meta;
   };
   std::vector<Raw> raw;
   raw.reserve(static_cast<std::size_t>(h - first));
   for (std::uint64_t i = first; i < h; ++i) {
-    const Slot& slot = slots_[i % cap];
+    const Slot& slot = slots_[i % slots_.size()];
     Raw r;
-    r.index = i;
     r.t_ns = slot.t_ns.load(std::memory_order_relaxed);
     r.meta = slot.meta.load(std::memory_order_relaxed);
     r.a = slot.a.load(std::memory_order_relaxed);
     r.b = slot.b.load(std::memory_order_relaxed);
+    r.c = slot.c.load(std::memory_order_relaxed);
     raw.push_back(r);
   }
   // Anything the writer RESERVED past our copy may have overwritten the
   // slots we read: entry i is torn-suspect when the writer reached logical
-  // index i + cap or later.  reserve_ is bumped before the slot write, so
-  // this check is conservative (may discard an intact entry, never keeps a
-  // torn one).
-  const std::uint64_t reserved = reserve_.load(std::memory_order_acquire);
-  for (const Raw& r : raw) {
-    if (reserved > r.index + cap) continue;  // overwritten mid-copy
+  // index i + cap or later.  The fence keeps the loads above from moving
+  // below this one; reserve_ is bumped before the slot write, so the check
+  // is conservative (may discard an intact entry, never keeps a torn one).
+  std::atomic_thread_fence(std::memory_order_acquire);
+  const std::uint64_t reserved = reserve_.load(std::memory_order_relaxed);
+  const std::uint64_t ring = slots_.size();
+  const std::uint64_t kept =
+      std::min(h, std::max(first, reserved > ring ? reserved - ring : 0));
+  for (std::uint64_t i = kept; i < h; ++i) {
+    const Raw& r = raw[static_cast<std::size_t>(i - first)];
     FlightEvent event;
     event.t_ns = r.t_ns;
     event.category = static_cast<FlightCategory>(r.meta >> 16);
@@ -80,8 +79,10 @@ void FlightLog::snapshot(std::vector<FlightEvent>& out) const {
     event.writer = id_;
     event.a = r.a;
     event.b = r.b;
+    event.c = r.c;
     out.push_back(event);
   }
+  return kept;
 }
 
 FlightRecorder::FlightRecorder(std::size_t per_writer_capacity)
@@ -93,9 +94,10 @@ FlightLog& FlightRecorder::add_writer(std::string name) {
   return *logs_.back();
 }
 
-std::vector<FlightEvent> FlightRecorder::snapshot() const {
+std::vector<FlightEvent> FlightRecorder::snapshot(
+    std::uint64_t per_lane) const {
   std::vector<FlightEvent> events;
-  for (const auto& log : logs_) log->snapshot(events);
+  for (const auto& log : logs_) log->snapshot(events, per_lane);
   std::stable_sort(events.begin(), events.end(),
                    [](const FlightEvent& x, const FlightEvent& y) {
                      return x.t_ns < y.t_ns;
@@ -105,7 +107,7 @@ std::vector<FlightEvent> FlightRecorder::snapshot() const {
 
 std::string FlightRecorder::dump_json(const std::string& reason,
                                       std::uint64_t now_ns) const {
-  const std::vector<FlightEvent> events = snapshot();
+  const std::vector<FlightEvent> events = snapshot(kDumpLaneEvents);
   JsonWriter out;
   out.begin_object().field("reason", reason).field("dumped_at_ns", now_ns)
       .key("writers").begin_array();
@@ -115,8 +117,9 @@ std::string FlightRecorder::dump_json(const std::string& reason,
     out.begin_object().field("t_ns", e.t_ns)
         .field("writer", logs_[e.writer]->name())
         .field("category", to_string(e.category))
-        .field("code", to_string(e.code)).field("a", e.a).field("b", e.b)
-        .end_object();
+        .field("code", to_string(e.code));
+    write_args(out, e);
+    out.end_object();
   }
   return out.end_array().end_object().str() + "\n";
 }
@@ -187,7 +190,8 @@ void FlightRecorder::write_signal_dump(int fd, int signo) const {
   for (const auto& log : logs_) {
     const std::uint64_t h = log->head_.load(std::memory_order_acquire);
     const std::uint64_t cap = log->slots_.size();
-    const std::uint64_t start = h > cap ? h - cap : 0;
+    const std::uint64_t kept = cap < kDumpLaneEvents ? cap : kDumpLaneEvents;
+    const std::uint64_t start = h > kept ? h - kept : 0;
     for (std::uint64_t i = start; i < h; ++i) {
       const FlightLog::Slot& slot = log->slots_[i % cap];
       const std::uint32_t meta = slot.meta.load(std::memory_order_relaxed);
@@ -205,6 +209,8 @@ void FlightRecorder::write_signal_dump(int fd, int signo) const {
       sig_write_u64(fd, slot.a.load(std::memory_order_relaxed));
       sig_write(fd, ",\"b\":");
       sig_write_u64(fd, slot.b.load(std::memory_order_relaxed));
+      sig_write(fd, ",\"c\":");
+      sig_write_u64(fd, slot.c.load(std::memory_order_relaxed));
       sig_write(fd, "}");
     }
   }

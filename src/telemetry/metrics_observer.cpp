@@ -3,7 +3,7 @@
 namespace midrr::telemetry {
 
 MetricsObserver::MetricsObserver(MetricsRegistry& registry, LabelSet labels,
-                                 SchedulerObserver* chain)
+                                 SchedulerLane lane)
     : grants_(registry.counter(
           "midrr_sched_turns_total",
           "Service turns granted (each grant refreshes the flow's quantum)",
@@ -18,39 +18,42 @@ MetricsObserver::MetricsObserver(MetricsRegistry& registry, LabelSet labels,
       drains_(registry.counter(
           "midrr_sched_flow_drains_total",
           "Flow queue drains (flow left the backlogged set)", labels)),
-      chain_(chain) {}
+      lane_(lane) {}
 
 void MetricsObserver::on_turn_granted(SimTime now, FlowId flow, IfaceId iface,
                                       std::int64_t deficit_after) {
   grants_.inc();
-  if (chain_ != nullptr) {
-    chain_->on_turn_granted(now, flow, iface, deficit_after);
+  if (lane_.log != nullptr) {
+    trace(now, FlightCode::kGrant, flow, iface,
+          static_cast<std::uint64_t>(deficit_after));
   }
 }
 
 void MetricsObserver::on_flag_skip(SimTime now, FlowId flow, IfaceId iface) {
   skips_.inc();
-  if (chain_ != nullptr) chain_->on_flag_skip(now, flow, iface);
+  if (lane_.log != nullptr) trace(now, FlightCode::kSkip, flow, iface);
 }
 
 void MetricsObserver::on_packet_sent(SimTime now, FlowId flow, IfaceId iface,
                                      std::uint32_t bytes) {
   // Counting happens in on_packets_sent (one bump per burst); this hook
-  // only forwards to a chained tracer, which wants per-packet events.
-  if (chain_ != nullptr) chain_->on_packet_sent(now, flow, iface, bytes);
+  // only feeds the trace lane, which wants per-packet events.
+  if (lane_.log != nullptr) trace(now, FlightCode::kSend, flow, iface, bytes);
 }
 
-void MetricsObserver::on_packets_sent(SimTime now, IfaceId iface,
+void MetricsObserver::on_packets_sent(SimTime /*now*/, IfaceId /*iface*/,
                                       std::uint64_t packets,
                                       std::uint64_t bytes) {
   sends_.inc(packets);
   sent_bytes_.inc(bytes);
-  if (chain_ != nullptr) chain_->on_packets_sent(now, iface, packets, bytes);
 }
 
 void MetricsObserver::on_flow_drained(SimTime now, FlowId flow) {
   drains_.inc();
-  if (chain_ != nullptr) chain_->on_flow_drained(now, flow);
+  if (lane_.log != nullptr) {
+    lane_.log->log(static_cast<std::uint64_t>(now), FlightCategory::kSched,
+                   FlightCode::kFlowDrained, (*lane_.global_of_flow)[flow]);
+  }
 }
 
 }  // namespace midrr::telemetry

@@ -22,6 +22,7 @@
 #include "fault/recorder.hpp"
 #include "fault/supervisor.hpp"
 #include "telemetry/fairness_drift.hpp"
+#include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/prometheus.hpp"
 #include "util/latency_histogram.hpp"
@@ -398,13 +399,22 @@ TEST(FaultInjector, StallWindowExpiresBackIntoTheLoop) {
        "duration_ms": 30}]})"));
   inj.attach(1, 1);
   std::atomic<std::uint64_t> generation{0};
-  EXPECT_EQ(inj.maybe_stall(0, kMillisecond, generation, 0),
+  telemetry::FlightRecorder flight(4);
+  telemetry::FlightLog& lane = flight.add_writer("worker0");
+  EXPECT_EQ(inj.maybe_stall(0, kMillisecond, generation, 0, &lane),
             FaultInjector::StallOutcome::kResumed)
       << "parks for the remaining ~29 ms, then resumes naturally";
-  EXPECT_EQ(inj.maybe_stall(0, 31 * kMillisecond, generation, 0),
+  EXPECT_EQ(inj.maybe_stall(0, 31 * kMillisecond, generation, 0, &lane),
             FaultInjector::StallOutcome::kNotStalled)
       << "window expired; cursor moves past it";
   EXPECT_EQ(inj.stalls_entered(), 1u);
+  // The stall is on the worker's own lane: worker 0, the remaining 29 ms.
+  const std::vector<telemetry::FlightEvent> events = flight.snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].code, telemetry::FlightCode::kWorkerStall);
+  EXPECT_EQ(events[0].t_ns, static_cast<std::uint64_t>(kMillisecond));
+  EXPECT_EQ(events[0].a, 0u);
+  EXPECT_EQ(events[0].b, static_cast<std::uint64_t>(29 * kMillisecond));
 }
 
 TEST(FaultInjector, RestartSupersedesAParkedWorkerExactlyOnce) {
@@ -705,6 +715,8 @@ TEST(Supervisor, RefusedRestartsAreCountedNotRetriedBlindly) {
   SupervisorOptions options = fast_options();
   options.worker_stall_probes = 2;
   Supervisor sup(rt, options);
+  telemetry::FlightRecorder flight(16);
+  sup.set_flight_log(&flight.add_writer("supervisor"));
   for (int i = 0; i < 4; ++i) {
     rt.now += kMillisecond;
     sup.probe();
@@ -712,8 +724,16 @@ TEST(Supervisor, RefusedRestartsAreCountedNotRetriedBlindly) {
   EXPECT_EQ(sup.restarts_attempted(), 2u);
   EXPECT_EQ(sup.restarts_refused(), 2u);
   EXPECT_EQ(sup.restarts_succeeded(), 0u);
-  const auto log = sup.log();
-  EXPECT_FALSE(log.empty());
+  // Both refusals are on the supervisor's lane, naming the worker.
+  std::size_t refused = 0;
+  for (const telemetry::FlightEvent& e : flight.snapshot()) {
+    if (e.code == telemetry::FlightCode::kRestartRefused) {
+      EXPECT_EQ(e.category, telemetry::FlightCategory::kSupervisor);
+      EXPECT_EQ(e.a, 0u);
+      ++refused;
+    }
+  }
+  EXPECT_EQ(refused, 2u);
 }
 
 // --- Supervisor: Theorem-2 replay on survivors ----------------------------
@@ -747,6 +767,8 @@ TEST(Supervisor, ReplaysClusteringOnTheSurvivingInterfaceSet) {
   SupervisorOptions options = fast_options();
   options.replay_clustering = true;
   Supervisor sup(rt, options, &fairness);
+  telemetry::FlightRecorder flight(16);
+  sup.set_flight_log(&flight.add_writer("supervisor"));
   sup.probe();
   // Keep if0 visibly healthy while if1 goes silent.
   for (int i = 0; i < 3; ++i) {
@@ -760,11 +782,14 @@ TEST(Supervisor, ReplaysClusteringOnTheSurvivingInterfaceSet) {
   EXPECT_EQ(sup.clustering_checks(), 1u);
   EXPECT_EQ(sup.clustering_violations(), 0u);
   EXPECT_EQ(sup.last_clustering_verdict(), "");
-  const auto log = sup.log();
+  // The supervisor's lane carries the replay: one survivor flow, all of
+  // if0's 10 Mb/s.
   bool saw_consistent = false;
-  for (const auto& entry : log) {
-    if (entry.what.find("clustering consistent") != std::string::npos) {
+  for (const telemetry::FlightEvent& e : flight.snapshot()) {
+    if (e.code == telemetry::FlightCode::kClusteringConsistent) {
       saw_consistent = true;
+      EXPECT_EQ(e.a, 1u);
+      EXPECT_EQ(e.b, 10'000'000u);
     }
   }
   EXPECT_TRUE(saw_consistent);

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <ios>
 #include <memory>
 #include <optional>
@@ -225,11 +226,22 @@ TEST(RunFingerprint, SimShapedRunUnderMiDrr) {
   EXPECT_EQ(digest, 0xc361899ebbc24a59ull) << "digest 0x" << std::hex << digest;
 }
 
+/// The digest of `proxy`'s result after running it to each of `horizons`.
+template <typename Proxy>
+std::uint64_t run_in_steps(Proxy& proxy,
+                           std::initializer_list<SimTime> horizons) {
+  std::uint64_t digest = 0;
+  for (const SimTime until : horizons) digest = fingerprint(proxy.run(until));
+  return digest;
+}
+
 // Two paths whose latencies differ by 25 ms, so a flow spread over both
 // arrives out of order; the slower path goes down for a second and comes
 // back at a lower rate.  Backlogged (one of them finite), CBR and Poisson
 // sources.
-std::uint64_t inbound_digest(Policy policy) {
+std::uint64_t inbound_digest(Policy policy,
+                             std::initializer_list<SimTime> horizons = {
+                                 10 * kSecond}) {
   const auto backlogged = [](std::uint64_t volume) -> SourceFactory {
     return [volume] {
       return std::make_unique<BackloggedSource>(SizeDistribution::fixed(1500),
@@ -254,13 +266,15 @@ std::uint64_t inbound_digest(Policy policy) {
               mbps(1), SizeDistribution::uniform(200, 1500));
         }}},
       policy);
-  return fingerprint(proxy.run(10 * kSecond));
+  return run_in_steps(proxy, horizons);
 }
 
 // A square-wave interface beside a constant one, a download on each alone
 // and one on both, and a finite download of a size that is not a multiple
 // of the chunk, with cluster snapshots every 2 s.
-std::uint64_t http_digest(Policy policy) {
+std::uint64_t http_digest(Policy policy,
+                          std::initializer_list<SimTime> horizons = {
+                              20 * kSecond}) {
   http::ProxyOptions options;
   options.policy = policy;
   options.cluster_interval = 2 * kSecond;
@@ -272,7 +286,7 @@ std::uint64_t http_digest(Policy policy) {
        {"b", 1.0, {"if1", "if2"}, 0},
        {"c", 2.0, {"if2"}, 5'012'345}},
       options);
-  return fingerprint(proxy.run(20 * kSecond));
+  return run_in_steps(proxy, horizons);
 }
 
 TEST(RunFingerprint, InboundProxyUnderMiDrr) {
@@ -293,6 +307,15 @@ TEST(RunFingerprint, HttpProxyUnderMiDrr) {
 TEST(RunFingerprint, HttpProxyUnderNaiveDrr) {
   const std::uint64_t digest = http_digest(Policy::kNaiveDrr);
   EXPECT_EQ(digest, 0x72ecb43a7258f63full) << "digest 0x" << std::hex << digest;
+}
+
+// run() continues a run: the sources start and the samplers arm once, so
+// stopping half way changes nothing.
+TEST(RunFingerprint, ProxyRunsInStepsEqualOneRun) {
+  EXPECT_EQ(inbound_digest(Policy::kMiDrr, {5 * kSecond, 10 * kSecond}),
+            inbound_digest(Policy::kMiDrr));
+  EXPECT_EQ(http_digest(Policy::kMiDrr, {5 * kSecond, 10 * kSecond}),
+            http_digest(Policy::kMiDrr, {10 * kSecond}));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -30,11 +31,13 @@
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/exporter.hpp"
 #include "telemetry/fairness_drift.hpp"
+#include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/metrics_observer.hpp"
 #include "telemetry/prometheus.hpp"
 #include "telemetry/promlint.hpp"
 #include "telemetry/slo.hpp"
+#include "util/indexed_name.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
 
@@ -211,12 +214,18 @@ TEST(TraceRecorderOverflow, CountsEvictedEvents) {
 
 TEST(MetricsObserver, CountsEventsAndChains) {
   MetricsRegistry reg;
-  TraceRecorder chained(16);
-  MetricsObserver obs(reg, {{"shard", "0"}}, &chained);
+  FlightRecorder flight(16);
+  // Scheduler-local flows 0..2 are global flows 10..12; local interface 0
+  // is global interface 3.
+  const std::vector<FlowId> global_of_flow = {10, 11, 12};
+  const std::vector<IfaceId> global_of_iface = {3};
+  MetricsObserver obs(reg, {{"shard", "0"}},
+                      {&flight.add_writer("shard0"), &global_of_flow,
+                       &global_of_iface});
   obs.on_turn_granted(0, 1, 0, 1500);
   obs.on_flag_skip(1, 2, 0);
-  // The scheduler emits per-packet on_packet_sent events (feeding chained
-  // tracers) followed by ONE batched on_packets_sent summary per burst;
+  // The scheduler emits per-packet on_packet_sent events (feeding the
+  // trace lane) followed by ONE batched on_packets_sent summary per burst;
   // the counting observer folds its increments into the summary only.
   obs.on_packet_sent(2, 1, 0, 1000);
   obs.on_packets_sent(2, 0, 1, 1000);
@@ -224,7 +233,23 @@ TEST(MetricsObserver, CountsEventsAndChains) {
   EXPECT_EQ(obs.grants(), 1u);
   EXPECT_EQ(obs.skips(), 1u);
   EXPECT_EQ(obs.sends(), 1u);
-  EXPECT_EQ(chained.total_events(), 4u) << "chained observer sees everything";
+  // The lane sees every micro-event once, under global ids.
+  const std::vector<FlightEvent> events = flight.snapshot();
+  ASSERT_EQ(events.size(), 4u);
+  const FlightCode codes[] = {FlightCode::kGrant, FlightCode::kSkip,
+                              FlightCode::kSend, FlightCode::kFlowDrained};
+  const std::uint64_t flows[] = {11, 12, 11, 11};
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].t_ns, i);
+    EXPECT_EQ(events[i].category, FlightCategory::kSched);
+    EXPECT_EQ(events[i].code, codes[i]);
+    EXPECT_EQ(events[i].a, flows[i]);
+  }
+  EXPECT_EQ(events[0].b, 3u);
+  EXPECT_EQ(events[0].c, 1500u);
+  EXPECT_EQ(events[1].b, 3u);
+  EXPECT_EQ(events[2].b, 3u);
+  EXPECT_EQ(events[2].c, 1000u);
   const std::string text = render_prometheus(reg);
   EXPECT_NE(text.find("midrr_sched_turns_total{shard=\"0\"} 1"),
             std::string::npos);
@@ -234,7 +259,7 @@ TEST(MetricsObserver, CountsEventsAndChains) {
 
 TEST(MetricsObserver, BatchedSendSummaryCountsOncePerBurst) {
   MetricsRegistry reg;
-  MetricsObserver obs(reg, {{"shard", "0"}}, nullptr);
+  MetricsObserver obs(reg, {{"shard", "0"}});
   // A 3-packet burst: three per-packet events (ignored by the counters),
   // one summary carrying the totals.
   obs.on_packet_sent(5, 1, 0, 100);
@@ -252,58 +277,67 @@ TEST(MetricsObserver, BatchedSendSummaryCountsOncePerBurst) {
 
 // --- Chrome trace ---------------------------------------------------------
 
+/// The rendered trace's events.
+std::vector<JsonValue> trace_events(const ChromeTrace& trace) {
+  const JsonValue doc = JsonValue::parse(trace.json);
+  return doc.find("traceEvents")->as_array();
+}
+
 TEST(ChromeTrace, RendersRecorderAndSpans) {
-  TraceRecorder recorder(16);
-  recorder.on_turn_granted(1000, 0, 1, 1500);
-  recorder.on_packet_sent(2000, 0, 1, 900);
-  ChromeTraceBuilder builder;
-  builder.set_process_name(7, "sched");
-  builder.add_recorder(recorder, 7);
-  std::vector<TraceSpan> spans(1);
-  spans[0].kind = TraceSpan::Kind::kDrain;
-  spans[0].worker = 2;
-  spans[0].begin_ns = 1000;
-  spans[0].end_ns = 4000;
-  spans[0].iface = 1;
-  spans[0].packets = 3;
-  spans[0].bytes = 2700;
-  builder.add_spans(spans, 8);
-  const std::string json = builder.json();
+  FlightRecorder flight(16);
+  FlightLog& shard = flight.add_writer("shard0");
+  shard.log(1000, FlightCategory::kSched, FlightCode::kGrant, 5, 1,
+            static_cast<std::uint64_t>(std::int64_t{-300}));
+  shard.log(2000, FlightCategory::kSched, FlightCode::kSend, 5, 1, 900);
+  FlightLog& worker = flight.add_writer("worker2");
+  worker.log(1000, FlightCategory::kRuntime, FlightCode::kDrainSpan, 4000,
+             span_where(1, 3), 2700);
+  const ChromeTrace trace = render_chrome_trace(flight, {"if0", "if1"});
+  const std::string& json = trace.json;
   EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos) << "instant events";
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos) << "duration spans";
   EXPECT_NE(json.find("\"ph\":\"M\""), std::string::npos) << "metadata";
   EXPECT_NE(json.find("\"dur\":3"), std::string::npos) << "3000 ns = 3 us";
-  // Braces and brackets must balance (the file must parse as JSON).
-  long depth = 0;
-  for (const char ch : json) {
-    if (ch == '{' || ch == '[') ++depth;
-    if (ch == '}' || ch == ']') --depth;
-    ASSERT_GE(depth, 0);
-  }
-  EXPECT_EQ(depth, 0);
+  EXPECT_EQ(trace_events(trace).size(), trace.events);
+  // Every argument the scheduler rows and the worker spans carried: the
+  // deficit (signed), the bytes, and the span's packets, bytes and iface,
+  // on tracks and spans named after the interface.
+  EXPECT_NE(json.find("\"name\":\"grant flow5\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"deficit_after\":-300"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"bytes\":900"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"args\":{\"name\":\"if1\"}"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"name\":\"drain if1\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"iface\":1,\"packets\":3,\"bytes\":2700"),
+            std::string::npos)
+      << json;
+  // One process row per lane, named after it.
+  EXPECT_NE(json.find("\"args\":{\"name\":\"shard0\"}"), std::string::npos);
+  EXPECT_NE(json.find("\"args\":{\"name\":\"worker2\"}"), std::string::npos);
 }
 
 TEST(ChromeTrace, MarksTruncatedRecorders) {
-  TraceRecorder recorder(2);
-  for (int i = 0; i < 5; ++i) recorder.on_packet_sent(i, 0, 0, 1);
-  ChromeTraceBuilder builder;
-  builder.add_recorder(recorder, 1);
-  EXPECT_NE(builder.json().find("events_lost"), std::string::npos);
+  FlightRecorder flight(2);
+  FlightLog& lane = flight.add_writer("shard0");
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    lane.log(i, FlightCategory::kSched, FlightCode::kSend, 0, 0, 1);
+  }
+  EXPECT_NE(render_chrome_trace(flight, {}).json.find("events_lost"),
+            std::string::npos);
 }
 
-// Regression: the truncation marker used to be only a "ph":"M" metadata
-// record, which viewers do not render -- a truncated capture looked merely
-// sparse.  add_recorder must also emit a VISIBLE global instant, placed at
-// the last retained event's timestamp (where the missing history ends).
+// The truncation marker used to be only a "ph":"M" metadata record, which
+// viewers do not render -- a truncated capture looked merely sparse.  A
+// wrapped lane also gets a VISIBLE global instant, placed at the window
+// start: its oldest retained event, where the lost history ends.
 TEST(ChromeTrace, OverflowEmitsVisibleInstantAtLastRetainedEvent) {
-  TraceRecorder recorder(2);
-  for (const SimTime at : {10'000, 20'000, 30'000, 40'000, 50'000}) {
-    recorder.on_packet_sent(at, 0, 0, 1);
+  FlightRecorder flight(2);
+  FlightLog& lane = flight.add_writer("shard0");
+  for (std::uint64_t at = 10'000; at <= 50'000; at += 10'000) {
+    lane.log(at, FlightCategory::kSched, FlightCode::kSend, 0, 0, 1);
   }
-  ChromeTraceBuilder builder;
-  builder.add_recorder(recorder, 1);
-  const std::string json = builder.json();
+  const std::string json = render_chrome_trace(flight, {}).json;
   const std::size_t instant = json.find("\"name\":\"trace_overflow\"");
   ASSERT_NE(instant, std::string::npos) << json;
   const std::string event = json.substr(instant, 220);
@@ -311,31 +345,72 @@ TEST(ChromeTrace, OverflowEmitsVisibleInstantAtLastRetainedEvent) {
       << "must be a renderable instant, not metadata: " << event;
   EXPECT_NE(event.find("\"s\":\"g\""), std::string::npos)
       << "global scope so it is visible on every track: " << event;
-  // 50'000 ns = 50 us, the newest retained event.
-  EXPECT_NE(event.find("\"ts\":50"), std::string::npos) << event;
+  // 40'000 ns = 40 us, the oldest retained event: the window start.
+  EXPECT_NE(event.find("\"ts\":40"), std::string::npos) << event;
   EXPECT_NE(event.find("\"events_lost\":3"), std::string::npos) << event;
   // The machine-readable metadata record is still present for tooling.
   EXPECT_NE(json.find("\"name\":\"trace_truncated\""), std::string::npos);
   // A full capture emits neither marker.
-  TraceRecorder roomy(16);
-  roomy.on_packet_sent(10'000, 0, 0, 1);
-  ChromeTraceBuilder clean;
-  clean.add_recorder(roomy, 1);
-  EXPECT_EQ(clean.json().find("trace_overflow"), std::string::npos);
+  FlightRecorder roomy(16);
+  roomy.add_writer("shard0").log(10'000, FlightCategory::kSched,
+                                  FlightCode::kSend, 0, 0, 1);
+  EXPECT_EQ(render_chrome_trace(roomy, {}).json.find("trace_overflow"),
+            std::string::npos);
+}
+
+// One window for every packet-rate row: scheduler events and work spans
+// are cut at the newest start among the wrapped lanes -- on a lane that
+// kept its whole history too -- so no two such rows show different
+// stretches; a transition (a supervisor's verdict) is drawn wherever a
+// lane kept it.
+TEST(ChromeTrace, PacketRateRowsShareOneWindowAndTransitionsDrawWhole) {
+  FlightRecorder flight(2);
+  FlightLog& wrapped = flight.add_writer("shard0");
+  for (std::uint64_t at = 10'000; at <= 30'000; at += 10'000) {
+    wrapped.log(at, FlightCategory::kSched, FlightCode::kSend, 0, 0, 1);
+  }
+  FlightLog& whole = flight.add_writer("shard1");
+  whole.log(5'000, FlightCategory::kSched, FlightCode::kSend, 0, 0, 1);
+  whole.log(25'000, FlightCategory::kSched, FlightCode::kSend, 0, 0, 1);
+  FlightLog& spans = flight.add_writer("worker0 spans");
+  for (std::uint64_t at = 5'000; at <= 25'000; at += 10'000) {
+    spans.log(at, FlightCategory::kRuntime, FlightCode::kDrainSpan,
+              at + 1'000, span_where(0, 1), 1);
+  }
+  FlightLog& supervisor = flight.add_writer("supervisor");
+  supervisor.log(1'000, FlightCategory::kSupervisor, FlightCode::kLinkDead, 0);
+  std::map<double, std::vector<double>> drawn;  // pid -> ts
+  std::set<double> marked;
+  for (const JsonValue& event : trace_events(render_chrome_trace(flight, {}))) {
+    if (event.find("ph")->as_string() == "M") continue;
+    const double pid = event.find("pid")->as_number();
+    if (event.find("name")->as_string() == "trace_overflow") {
+      EXPECT_EQ(event.find("ts")->as_number(), 20.0)
+          << "the newer of the wrapped lanes' oldest events (20 vs 15 us)";
+      marked.insert(pid);
+      continue;
+    }
+    drawn[pid].push_back(event.find("ts")->as_number());
+  }
+  EXPECT_EQ(marked, (std::set<double>{1.0, 3.0}));
+  EXPECT_EQ(drawn[1.0], (std::vector<double>{20.0, 30.0}));
+  EXPECT_EQ(drawn[2.0], (std::vector<double>{25.0})) << "5 us precedes it";
+  EXPECT_EQ(drawn[3.0], (std::vector<double>{25.0}));
+  EXPECT_EQ(drawn[4.0], (std::vector<double>{1.0}));
 }
 
 // Sub-microsecond precision holds at any run length: a span that begins
 // 2.5 s into the run keeps its nanoseconds, so consecutive spans on one
 // worker track never appear to overlap.
 TEST(ChromeTrace, TimestampsKeepNanosecondPrecision) {
-  std::vector<TraceSpan> spans(1);
-  spans[0].begin_ns = 2'500'000'123;
-  spans[0].end_ns = 2'500'001'123;
-  ChromeTraceBuilder builder;
-  builder.add_spans(spans, 1);
-  const JsonValue doc = JsonValue::parse(builder.json());
+  FlightRecorder flight(4);
+  flight.add_writer("worker0").log(2'500'000'123, FlightCategory::kRuntime,
+                                   FlightCode::kFanInSpan, 2'500'001'123,
+                                   span_where(0, 1), 100);
   const JsonValue* span = nullptr;
-  for (const JsonValue& event : doc.find("traceEvents")->as_array()) {
+  const std::vector<JsonValue> events =
+      trace_events(render_chrome_trace(flight, {}));
+  for (const JsonValue& event : events) {
     if (event.find("ph")->as_string() == "X") span = &event;
   }
   ASSERT_NE(span, nullptr);
@@ -637,18 +712,19 @@ TEST(FairnessDrift, AggregatedClassRowCarriesMemberCountAndPerMemberRate) {
 
 TEST(RuntimeTelemetry, RegistersRuntimeSeriesAndCapturesTrace) {
   MetricsRegistry reg;
+  FlightRecorder flight(1024);
   rt::RuntimeOptions options;
   options.workers = 2;
   options.shards = 2;
   options.metrics = &reg;
-  options.trace_events = 1024;
-  options.trace_spans = 1024;
+  options.flight = &flight;
+  options.trace = true;
   rt::Runtime runtime(options);
   runtime.add_interface("if0", RateProfile(100e6));
   runtime.add_interface("if1");
   for (int i = 0; i < 4; ++i) {
     rt::RtFlowSpec spec;
-    spec.name = "g" + std::to_string(i);
+    spec.name = indexed_name("g", i);
     spec.willing = {0, 1};
     runtime.control().add_flow(spec);
   }
@@ -666,81 +742,180 @@ TEST(RuntimeTelemetry, RegistersRuntimeSeriesAndCapturesTrace) {
        {"midrr_rt_offered_packets_total", "midrr_rt_dequeued_packets_total",
         "midrr_rt_ingress_ring_occupancy", "midrr_rt_pacer_tokens_bytes",
         "midrr_rt_rcu_epoch_lag", "midrr_rt_packet_wait_ns_bucket",
-        "midrr_sched_turns_total", "midrr_rt_iface_sent_bytes_total"}) {
+        "midrr_sched_turns_total", "midrr_rt_iface_sent_bytes_total",
+        "midrr_flight_events_lost_total{lane=\"shard0\"}",
+        "midrr_flight_events_lost_total{lane=\"worker1\"}"}) {
     EXPECT_NE(text.find(name), std::string::npos) << name;
   }
+  EXPECT_TRUE(lint_prometheus(text).empty());
 
-  ChromeTraceBuilder trace;
-  runtime.export_trace(trace, 1);
-  EXPECT_GT(trace.event_count(), 0u);
-  ASSERT_NE(runtime.shard_recorder(0), nullptr);
-  EXPECT_GT(runtime.shard_recorder(0)->total_events() +
-                runtime.shard_recorder(1)->total_events(),
-            0u);
+  const ChromeTrace trace = render_chrome_trace(flight, {"if0", "if1"});
+  EXPECT_GT(trace.events, 0u);
+  // Scheduler events reach the shard lanes and work spans the workers'.
+  std::uint64_t sched = 0;
+  std::uint64_t spans = 0;
+  for (const FlightEvent& e : flight.snapshot()) {
+    sched += e.category == FlightCategory::kSched;
+    spans += e.code == FlightCode::kFanInSpan ||
+             e.code == FlightCode::kDrainSpan;
+  }
+  EXPECT_GT(sched, 0u);
+  EXPECT_GT(spans, 0u);
 }
 
-// One trace, every source: the worker spans, two shard schedulers, the
-// fault injector and the supervisor.  Each exporter names the rows it
-// fills and hands on the next free pid, so every pid carries exactly one
-// process_name and the events of one source only.
+// One trace, one process row per lane: the supervisor's (added by the
+// caller), one per shard scheduler, and per worker its transitions and
+// its spans.  Each row is named once and carries the events of its lane
+// only.  Under a saturating load the span lanes may wrap within the run,
+// yet the fault applied at t = 0 still shows, on the transitions of the
+// worker that applied it: spans and per-pass drops cannot overwrite it.
 TEST(RuntimeTelemetry, EveryTraceSourceGetsItsOwnProcessRow) {
   fault::FaultInjector injector(fault::FaultPlan::parse_json(R"({"events": [
       {"at_ms": 0, "kind": "iface_scale", "iface": 1, "scale": 0.5,
        "duration_ms": 60000}]})"));
-  MetricsRegistry reg;  // the shard recorders chain behind its observers
+  MetricsRegistry reg;  // the shard lanes are written by its observers
+  FlightRecorder flight(1024);
+  FlightLog& supervisor_lane = flight.add_writer("supervisor");
   rt::RuntimeOptions options;
   options.workers = 2;
   options.shards = 2;
   options.metrics = &reg;
-  options.trace_events = 1024;
-  options.trace_spans = 1024;
+  options.flight = &flight;
+  options.trace = true;
   options.fault = &injector;
   rt::Runtime runtime(options);
   runtime.add_interface("if0", RateProfile(100e6));
   runtime.add_interface("if1", RateProfile(100e6));
   for (int i = 0; i < 4; ++i) {
     rt::RtFlowSpec spec;
-    spec.name = "g" + std::to_string(i);
+    spec.name = indexed_name("g", i);
     spec.willing = {0, 1};
     runtime.control().add_flow(spec);
   }
   runtime.start();
   fault::Supervisor supervisor(runtime, fault::SupervisorOptions{});
+  supervisor.set_flight_log(&supervisor_lane);
   rt::LoadGenerator generator(runtime, {});
   generator.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   generator.stop();
   runtime.stop();
-  ASSERT_GT(injector.iface_transitions(), 0u) << "the injector logs nothing";
-
-  ChromeTraceBuilder trace;
-  std::uint32_t pid = runtime.export_trace(trace, 1);
-  EXPECT_EQ(pid, 4u) << "the workers' row and one row per shard";
-  pid = injector.export_trace(trace, pid);
-  EXPECT_EQ(supervisor.export_trace(trace, pid), 6u);
+  ASSERT_GT(injector.iface_transitions(), 0u) << "the injector applied nothing";
 
   std::map<std::uint32_t, std::vector<std::string>> names;
   std::map<std::uint32_t, std::set<std::string>> categories;
-  const JsonValue doc = JsonValue::parse(trace.json());
-  for (const JsonValue& event : doc.find("traceEvents")->as_array()) {
+  bool scale_shown = false;
+  for (const JsonValue& event :
+       trace_events(render_chrome_trace(flight, {"if0", "if1"}))) {
     const auto at = static_cast<std::uint32_t>(event.find("pid")->as_number());
-    if (event.find("name")->as_string() == "process_name") {
+    const std::string& name = event.find("name")->as_string();
+    if (name == "process_name") {
       names[at].push_back(event.find("args")->find("name")->as_string());
     } else if (const JsonValue* category = event.find("cat")) {
-      categories[at].insert(category->as_string());
+      if (category->as_string() != "trace") {  // a wrapped lane's marker
+        categories[at].insert(category->as_string());
+      }
     }
+    scale_shown |= name == "fault_scale if1";
   }
   const std::map<std::uint32_t, std::vector<std::string>> expected = {
-      {1, {"runtime workers"}},   {2, {"shard 0 scheduler"}},
-      {3, {"shard 1 scheduler"}}, {4, {"fault injector"}},
-      {5, {"supervisor"}}};
+      {1, {"supervisor"}},     {2, {"shard0"}}, {3, {"shard1"}},
+      {4, {"worker0"}},        {5, {"worker0 spans"}},
+      {6, {"worker1"}},        {7, {"worker1 spans"}}};
   EXPECT_EQ(names, expected);
   using Categories = std::set<std::string>;
-  EXPECT_EQ(categories[1], Categories{"runtime"});
+  EXPECT_TRUE(categories[1].empty() ||
+              categories[1] == Categories{"supervisor"});
   EXPECT_EQ(categories[2], Categories{"sched"});
   EXPECT_EQ(categories[3], Categories{"sched"});
-  EXPECT_EQ(categories[4], Categories{"fault"});
-  EXPECT_TRUE(categories[5].empty() || categories[5] == Categories{"fault"});
+  EXPECT_EQ(categories[4], Categories{"runtime"});
+  EXPECT_EQ(categories[5], Categories{"runtime"});
+  // if1 belongs to worker 1, which applied the scale.
+  EXPECT_EQ(categories[6], (Categories{"fault", "runtime"}));
+  EXPECT_EQ(categories[7], Categories{"runtime"});
+  EXPECT_TRUE(scale_shown) << "the t = 0 fault fell out of the trace";
+  // The transitions kept their whole history: overload logs a drop run
+  // per 100 ms, not an event per fan-in pass.
+  for (const std::size_t lane : {std::size_t{3}, std::size_t{5}}) {
+    EXPECT_EQ(flight.lanes()[lane]->lost(), 0u)
+        << flight.lanes()[lane]->name();
+  }
+}
+
+// Scheduler rows speak global ids: with 4 interfaces over 2 shards each
+// shard's scheduler numbers its own interfaces and flows from 0, but every
+// track is named after a runtime interface and every flow arg is the
+// registered global flow -- one willing on the track's interface.
+TEST(RuntimeTelemetry, SchedulerRowsNameGlobalInterfacesAndFlows) {
+  MetricsRegistry reg;
+  FlightRecorder flight(4096);
+  rt::RuntimeOptions options;
+  options.workers = 2;
+  options.shards = 2;
+  options.metrics = &reg;
+  options.flight = &flight;
+  options.trace = true;
+  rt::Runtime runtime(options);
+  const std::vector<std::string> iface_names = {"if0", "if1", "if2", "if3"};
+  for (const std::string& name : iface_names) {
+    runtime.add_interface(name, RateProfile(50e6));
+  }
+  // Flow i is willing on interface i % 4 only, so shard 1 (if1, if3)
+  // hosts the odd flows under local ids 0..3.
+  std::vector<IfaceId> willing_of;  // by global flow id
+  for (int i = 0; i < 8; ++i) {
+    rt::RtFlowSpec spec;
+    spec.willing = {static_cast<IfaceId>(i % 4)};
+    const FlowId id = runtime.control().add_flow(spec);
+    if (willing_of.size() <= id) willing_of.resize(id + 1, kInvalidIface);
+    willing_of[id] = static_cast<IfaceId>(i % 4);
+  }
+  runtime.start();
+  rt::LoadGenerator generator(runtime, {});
+  generator.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  generator.stop();
+  runtime.stop();
+
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::string> tracks;
+  std::vector<JsonValue> sched;
+  for (const JsonValue& event :
+       trace_events(render_chrome_trace(flight, iface_names))) {
+    const auto pid = static_cast<std::uint32_t>(event.find("pid")->as_number());
+    if (event.find("name")->as_string() == "thread_name") {
+      const auto tid =
+          static_cast<std::uint32_t>(event.find("tid")->as_number());
+      tracks[{pid, tid}] = event.find("args")->find("name")->as_string();
+    } else if (const JsonValue* cat = event.find("cat");
+               cat != nullptr && cat->as_string() == "sched") {
+      sched.push_back(event);
+    }
+  }
+  ASSERT_FALSE(sched.empty());
+  for (const JsonValue& event : sched) {
+    const auto pid = static_cast<std::uint32_t>(event.find("pid")->as_number());
+    const auto tid = static_cast<std::uint32_t>(event.find("tid")->as_number());
+    const auto flow =
+        static_cast<std::size_t>(event.find("args")->find("flow")->as_number());
+    ASSERT_LT(flow, willing_of.size()) << "not a registered flow";
+    ASSERT_NE(willing_of[flow], kInvalidIface) << "not a registered flow";
+    const std::string& track = tracks[{pid, tid}];
+    if (track == "flow drains") continue;
+    EXPECT_EQ(track, iface_names[willing_of[flow]])
+        << event.find("name")->as_string() << " on track " << track;
+  }
+  std::set<std::uint32_t> sched_rows;
+  for (const JsonValue& event : sched) {
+    sched_rows.insert(
+        static_cast<std::uint32_t>(event.find("pid")->as_number()));
+  }
+  for (const auto& [key, track] : tracks) {
+    if (sched_rows.count(key.first) == 0) continue;  // a worker's drop runs
+    EXPECT_TRUE(track == "flow drains" ||
+                std::find(iface_names.begin(), iface_names.end(), track) !=
+                    iface_names.end())
+        << track;
+  }
 }
 
 /// Sum of the values of every sample line whose name is exactly `name`.

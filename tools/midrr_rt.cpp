@@ -120,8 +120,9 @@ int usage() {
          "                  /buildinfo (/slo with --slo, /adapt with\n"
          "                  --shed-target-p99-ms) on 127.0.0.1:P\n"
          "                  (0 = ephemeral; bound port printed to stderr)\n"
-         "  --trace-out F   capture scheduler events + worker spans, write\n"
-         "                  Chrome trace-event JSON to F after the run\n";
+         "  --trace-out F   log scheduler events + worker spans into the\n"
+         "                  flight lanes, write Chrome trace-event JSON of\n"
+         "                  their common window to F after the run\n";
   return 2;
 }
 
@@ -273,10 +274,7 @@ int main(int argc, char** argv) {
   if (telemetry_on) {
     options.metrics = &registry;
     telemetry::register_build_info(registry);
-    if (!trace_out.empty()) {
-      options.trace_events = 64 * 1024;  // per shard
-      options.trace_spans = 64 * 1024;   // per worker
-    }
+    options.trace = !trace_out.empty();
   }
 
   try {
@@ -293,28 +291,35 @@ int main(int argc, char** argv) {
 
     // SLO engine and flight recorder outlive the runtime (hot-path and
     // scrape callbacks hold pointers).  Every flight lane the TOOL writes
-    // is registered here, before start() -- the runtime adds its worker
-    // lanes inside start(), and nothing may add one after.
+    // is registered here, before start() -- the runtime adds its shard
+    // and worker lanes itself, and nothing may add one after.  The trace
+    // and the post-mortem dump share the recorder; a traced run keeps
+    // deep lanes (packet-rate scheduler events fill them fast), of which
+    // a dump still writes only the newest FlightRecorder::kDumpLaneEvents.
     std::unique_ptr<telemetry::SloEngine> slo;
     if (!slo_specs.empty()) {
       slo = std::make_unique<telemetry::SloEngine>(std::move(slo_specs),
                                                    options.max_flows);
       options.slo = slo.get();
     }
+    constexpr std::size_t kTraceLaneEvents = 64 * 1024;
     std::unique_ptr<telemetry::FlightRecorder> flight;
     telemetry::FlightLog* health_flight = nullptr;   // server thread
     telemetry::FlightLog* tool_flight = nullptr;     // main thread
     telemetry::FlightLog* supervisor_flight = nullptr;  // probe thread
-    if (!flight_dump.empty()) {
-      flight = std::make_unique<telemetry::FlightRecorder>();
+    if (!flight_dump.empty() || options.trace) {
+      flight = std::make_unique<telemetry::FlightRecorder>(
+          options.trace ? kTraceLaneEvents
+                        : telemetry::FlightRecorder::kDumpLaneEvents);
       tool_flight = &flight->add_writer("tool");
       health_flight = &flight->add_writer("health");
       if (supervise) supervisor_flight = &flight->add_writer("supervisor");
       options.flight = flight.get();
-      if (!flight->arm_fatal_dump(flight_dump + ".fatal")) {
-        std::cerr << "warning: cannot arm fatal dump at " << flight_dump
-                  << ".fatal\n";
-      }
+    }
+    if (!flight_dump.empty() &&
+        !flight->arm_fatal_dump(flight_dump + ".fatal")) {
+      std::cerr << "warning: cannot arm fatal dump at " << flight_dump
+                << ".fatal\n";
     }
 
     // Destination resolution, shared by the udp and uring backends: with
@@ -524,7 +529,7 @@ int main(int argc, char** argv) {
                                   ? telemetry::FlightCode::kHealthDegraded
                                   : telemetry::FlightCode::kHealthRecovered);
             }
-            if (degraded_now) {
+            if (degraded_now && !dump_path.empty()) {
               fr->dump_to_file(dump_path, "healthz degraded", t);
             }
           }
@@ -742,7 +747,7 @@ int main(int argc, char** argv) {
       }
     }
     runtime.stop();
-    if (flight != nullptr) {
+    if (!flight_dump.empty()) {
       // stop() flushed or counted every parked egress tail, so the egress
       // split must close exactly; a mismatch is an accounting bug worth a
       // post-mortem.  Either way the run ends with a dump on disk -- the
@@ -765,20 +770,20 @@ int main(int argc, char** argv) {
       }
     }
     if (!trace_out.empty()) {
-      // Each exporter names the process rows it fills and hands on the
-      // next free pid, so no row mixes two sources.
-      telemetry::ChromeTraceBuilder chrome_trace;
-      std::uint32_t pid = runtime.export_trace(chrome_trace, 1);
-      if (injector != nullptr) pid = injector->export_trace(chrome_trace, pid);
-      if (supervisor != nullptr) supervisor->export_trace(chrome_trace, pid);
+      std::vector<std::string> iface_names;
+      for (IfaceId j = 0; j < runtime.iface_count(); ++j) {
+        iface_names.push_back(runtime.iface_name(j));
+      }
+      const telemetry::ChromeTrace trace =
+          telemetry::render_chrome_trace(*flight, iface_names);
       std::ofstream trace_file(trace_out);
       if (!trace_file) {
         std::cerr << "error: cannot write " << trace_out << "\n";
         return 1;
       }
-      trace_file << chrome_trace.json();
-      std::cerr << "trace: " << chrome_trace.event_count() << " events -> "
-                << trace_out << "\n";
+      trace_file << trace.json;
+      std::cerr << "trace: " << trace.events << " events -> " << trace_out
+                << "\n";
     }
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -867,7 +872,7 @@ int main(int argc, char** argv) {
         slo->write_json(out.key("slo"),
                         static_cast<std::uint64_t>(runtime.now_ns()));
       }
-      if (flight != nullptr) {
+      if (!flight_dump.empty()) {
         out.key("flight").begin_object()
             .field("events", flight->events_logged())
             .field("dumps", flight->dumps())
@@ -999,7 +1004,7 @@ int main(int argc, char** argv) {
                     << " / long " << slo->long_burn(i, now) << "\n";
         }
       }
-      if (flight != nullptr) {
+      if (!flight_dump.empty()) {
         std::cout << "  flight    " << flight->events_logged()
                   << " events, " << flight->dumps() << " dump(s) -> "
                   << flight_dump << "\n";
